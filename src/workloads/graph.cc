@@ -1,7 +1,9 @@
 #include "workloads/graph.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <condition_variable>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <tuple>
@@ -60,38 +62,49 @@ namespace
 
 using EdgeList = std::vector<std::pair<Vertex, Vertex>>;
 
-/** One RMAT edge draw with recursive quadrant selection. */
-std::pair<Vertex, Vertex>
-rmatEdge(Rng &rng, unsigned scale, double a, double b, double c)
+/**
+ * Integer form of a Rng::uniform() threshold. uniform() returns exactly
+ * k * 2^-53 with k = next() >> 11, so uniform() < t holds exactly when
+ * k < ceil(t * 2^53); both products are exact in a double.
+ */
+std::uint64_t
+uniformBound(double t)
 {
-    Vertex src = 0;
-    Vertex dst = 0;
-    for (unsigned bit = 0; bit < scale; ++bit) {
-        double r = rng.uniform();
-        if (r < a) {
-            // top-left: neither bit set
-        } else if (r < a + b) {
-            dst |= Vertex{1} << bit;
-        } else if (r < a + b + c) {
-            src |= Vertex{1} << bit;
-        } else {
-            src |= Vertex{1} << bit;
-            dst |= Vertex{1} << bit;
-        }
-    }
-    return {src, dst};
+    return static_cast<std::uint64_t>(std::ceil(t * 0x1.0p53));
 }
 
+/**
+ * Graph500 RMAT: each of the scale bits of an edge's (src, dst) picks a
+ * quadrant with probabilities a, b, c and 1 - a - b - c. The quadrant
+ * is random, so a branch on it would be mispredicted on a large share
+ * of the draws; instead the bits are computed from integer comparisons
+ * on the raw draw. The draws, the decisions and the edge order are
+ * exactly those of uniform() compared against a, a + b and a + b + c.
+ */
 EdgeList
 genRmat(Rng &rng, unsigned scale, std::uint64_t num_edges, double a,
         double b, double c)
 {
+    const std::uint64_t t_a = uniformBound(a);
+    const std::uint64_t t_ab = uniformBound(a + b);
+    const std::uint64_t t_abc = uniformBound(a + b + c);
     EdgeList edges;
     edges.reserve(num_edges);
     for (std::uint64_t i = 0; i < num_edges; ++i) {
-        auto [u, v] = rmatEdge(rng, scale, a, b, c);
-        if (u != v)
-            edges.emplace_back(u, v);
+        Vertex src = 0;
+        Vertex dst = 0;
+        for (unsigned bit = 0; bit < scale; ++bit) {
+            const std::uint64_t k = rng.next() >> 11;
+            const auto ge_a = static_cast<Vertex>(k >= t_a);
+            const auto ge_ab = static_cast<Vertex>(k >= t_ab);
+            const auto ge_abc = static_cast<Vertex>(k >= t_abc);
+            // Quadrants c and d set the src bit; b and d set the dst
+            // bit. ge_ab implies ge_a, so ge_a ^ ge_ab is quadrant b.
+            src |= ge_ab << bit;
+            dst |= ((ge_a ^ ge_ab) | ge_abc) << bit;
+        }
+        if (src != dst)
+            edges.emplace_back(src, dst);
     }
     return edges;
 }
@@ -248,10 +261,11 @@ struct GraphSlot
 std::mutex g_graph_mutex;
 std::map<CacheKey, std::shared_ptr<GraphSlot>> g_graph_cache;
 
-/** Resident cap: enough for every graph of a set to stay warm while
- *  parallel trace builds are in flight. Evicted graphs stay alive for as
- *  long as any worker still holds its shared_ptr. */
-constexpr std::size_t kMaxResidentGraphs = 4;
+/** Resident cap: one graph per kind, so every graph of a set, the full
+ *  set included, stays warm while parallel trace builds are in flight.
+ *  Evicted graphs stay alive for as long as any worker still holds its
+ *  shared_ptr. */
+constexpr std::size_t kMaxResidentGraphs = std::size(kAllGraphKinds);
 
 } // namespace
 

@@ -12,6 +12,20 @@ namespace
  * against the anchor are identical from run to run — without this,
  * recorded PCs (and every PC-hashed predictor feature downstream) would
  * differ between processes and figures would not reproduce exactly.
+ *
+ * Layout hazard: a recorded PC is the byte offset between a kernel call
+ * site and this function, so it moves whenever the machine code linked
+ * between them changes size. That code is gap_kernels.cc,
+ * spec_kernels.cc and this file; the inline code they expand
+ * (common/rng.hh, Trace::push, the Graph accessors in graph.hh,
+ * TraceRecorder's data members and the inline methods the kernels call);
+ * and graph.cc wherever the link puts it between the GAP kernels and
+ * this file, which is every binary but perfbench. An edit there re-rolls
+ * the figures even when it touches only set-up: a lazy sort in recordTc
+ * changed perfbench's sc_sweep seed-1 stats digest from 2aa647af629faa78
+ * to 1cf7c47db25e3d94, TLP's IPC ratio from 115.596 to 115.809 % and
+ * its DRAM ratio from 83.947 to 83.631 %. A change that edits this code
+ * must say that it moves the figures, and by how much.
  */
 Addr
 anchorPc()

@@ -19,6 +19,7 @@
 #ifndef TLPSIM_WORKLOADS_RECORDER_HH
 #define TLPSIM_WORKLOADS_RECORDER_HH
 
+#include <algorithm>
 #include <cstdint>
 
 #include "trace/trace.hh"
@@ -57,7 +58,10 @@ class TraceRecorder
     TraceRecorder(Trace &out, const Options &opt)
         : trace_(&out), max_instrs_(opt.max_instrs), brk_(opt.heap_base)
     {
-        trace_->reserve(opt.max_instrs);
+        // Reserve at most 2^24 records (512 MiB): a kernel may end long
+        // before max_instrs, and a longer trace still grows on demand.
+        trace_->reserve(std::min<std::uint64_t>(opt.max_instrs,
+                                                std::uint64_t{1} << 24));
     }
 
     /** True once max_instrs records have been emitted; kernels must stop. */

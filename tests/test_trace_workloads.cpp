@@ -43,6 +43,20 @@ tinyGraph(GraphKind kind = GraphKind::Kron)
     return makeGraph(kind, 8, 6, 123);   // 256 vertices
 }
 
+/** FNV-1a over the little-endian bytes of every element of @p v. */
+template <typename T>
+std::uint64_t
+fnv1a(std::uint64_t h, const std::vector<T> &v)
+{
+    for (T x : v) {
+        for (unsigned byte = 0; byte < sizeof(T); ++byte) {
+            h ^= (static_cast<std::uint64_t>(x) >> (8 * byte)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
 } // namespace
 
 TEST(Trace, RecordSize)
@@ -211,6 +225,26 @@ TEST_P(GraphKindTest, DeterministicInSeed)
     EXPECT_EQ(a.neighbors, b.neighbors);
 }
 
+TEST_P(GraphKindTest, MatchesPinnedOutput)
+{
+    // Every generator's exact output, so a rewrite that keeps the degree
+    // distribution but moves a single edge fails here. The input graphs
+    // set every GAP trace, and the Small and Tiny sets never build
+    // Twitter or Web, so nothing else would notice.
+    Graph g = makeGraph(GetParam(), 12, 8, 42);
+    std::uint64_t hash = fnv1a(fnv1a(0xcbf29ce484222325ULL, g.offsets),
+                               g.neighbors);
+    std::uint64_t pinned = 0;
+    switch (GetParam()) {
+      case GraphKind::Web: pinned = 0xb805346248d3cb25ULL; break;
+      case GraphKind::Road: pinned = 0x4d73131f306eae84ULL; break;
+      case GraphKind::Twitter: pinned = 0x57881650355befd3ULL; break;
+      case GraphKind::Kron: pinned = 0x1193f1230b340c7dULL; break;
+      case GraphKind::Urand: pinned = 0x449626ebd7da408fULL; break;
+    }
+    EXPECT_EQ(hash, pinned) << std::hex << "0x" << hash;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, GraphKindTest,
     ::testing::Values(GraphKind::Web, GraphKind::Road, GraphKind::Twitter,
@@ -238,6 +272,22 @@ TEST(Graph, CacheReturnsSameGraph)
     auto a = GraphCache::get(GraphKind::Kron, 8, 6, 1);
     auto b = GraphCache::get(GraphKind::Kron, 8, 6, 1);
     EXPECT_EQ(a.get(), b.get());
+    GraphCache::clear();
+}
+
+TEST(Graph, CacheHoldsEveryKind)
+{
+    // The full workload set uses all five kinds; a second pass over them
+    // must get the graphs of the first back, not rebuild them.
+    GraphCache::clear();
+    std::vector<std::shared_ptr<const Graph>> first;
+    for (GraphKind k : kAllGraphKinds)
+        first.push_back(GraphCache::get(k, 8, 6, 1));
+    for (std::size_t i = 0; i < first.size(); ++i) {
+        GraphKind k = kAllGraphKinds[i];
+        EXPECT_EQ(GraphCache::get(k, 8, 6, 1).get(), first[i].get())
+            << toString(k);
+    }
     GraphCache::clear();
 }
 
@@ -543,6 +593,23 @@ TEST(Workloads, BuildTraceRespectsLength)
     Trace t = buildTrace(ws.back(), 5'000, 1);   // a SPEC kernel
     EXPECT_EQ(t.size(), 5'000u);
     EXPECT_EQ(t.name(), ws.back().name);
+}
+
+TEST(Workloads, BuildTraceOfHugeLengthReturnsWholeKernel)
+{
+    // A GAP kernel ends on its own. Asking for far more instructions
+    // (2e9 records would be 64 GB) must return its whole trace, not fail
+    // to reserve room for the requested length.
+    auto ws = singleCoreWorkloads(SetSize::Tiny);
+    auto it = std::find_if(ws.begin(), ws.end(), [](const auto &w) {
+        return w.name == "bfs.kron";
+    });
+    ASSERT_NE(it, ws.end());
+    Trace t = buildTrace(*it, 2'000'000'000, 1);
+    ASSERT_GT(t.size(), 0u);
+    ASSERT_LT(t.size(), 2'000'000'000u);
+    // Room for one more record still ends there: the kernel finished.
+    EXPECT_EQ(buildTrace(*it, t.size() + 1, 1).size(), t.size());
 }
 
 TEST(Workloads, MixesFollowPaperRecipe)
