@@ -84,7 +84,7 @@ benchMixSet(const std::vector<workloads::WorkloadSpec> &ws,
  */
 inline SystemConfig
 benchSystem(unsigned cores, const std::string &l1_pf = "ipcp",
-            const SchemeConfig &scheme = SchemeConfig::baseline())
+            const SchemeConfig &scheme = SchemeConfig::fromName("baseline"))
 {
     SystemConfig cfg = SystemConfig::cascadeLake(cores);
     cfg.warmup_instrs = benchWarmup();
@@ -97,7 +97,7 @@ benchSystem(unsigned cores, const std::string &l1_pf = "ipcp",
 /** Single-core config at bench scale. */
 inline SystemConfig
 benchConfig(const std::string &l1_pf = "ipcp",
-            const SchemeConfig &scheme = SchemeConfig::baseline())
+            const SchemeConfig &scheme = SchemeConfig::fromName("baseline"))
 {
     return benchSystem(1, l1_pf, scheme);
 }
@@ -105,7 +105,7 @@ benchConfig(const std::string &l1_pf = "ipcp",
 /** 4-core config at bench scale. */
 inline SystemConfig
 benchConfigMc(const std::string &l1_pf = "ipcp",
-              const SchemeConfig &scheme = SchemeConfig::baseline())
+              const SchemeConfig &scheme = SchemeConfig::fromName("baseline"))
 {
     return benchSystem(4, l1_pf, scheme);
 }

@@ -20,7 +20,7 @@ main()
     auto ws = benchWorkloads();
     SystemConfig base_cfg = benchConfig();
     SystemConfig hermes_cfg = benchConfig("ipcp",
-                                          SchemeConfig::hermes());
+                                          SchemeConfig::fromName("hermes"));
     prewarm(ws, {base_cfg, hermes_cfg});
 
     TablePrinter tp2({"workload", "suite", "dram_base", "dram_hermes",

@@ -19,7 +19,7 @@ main()
     auto mixes = benchMixSet(ws);
     SystemConfig base_cfg = benchConfigMc();
     SystemConfig hermes_cfg = benchConfigMc("ipcp",
-                                            SchemeConfig::hermes());
+                                            SchemeConfig::fromName("hermes"));
     prewarmMixes(ws, mixes, {base_cfg, hermes_cfg});
 
     TablePrinter tp({"mix", "suite", "dram_base", "dram_hermes",

@@ -95,7 +95,8 @@ evaluatePrefetcher(const std::vector<workloads::WorkloadSpec> &ws,
         tp.printHeader(std::string("Figure 12") + tag
                        + ": L1D prefetcher accuracy (%)");
         auto with_base = schemes;
-        with_base.insert(with_base.begin(), SchemeConfig::baseline());
+        with_base.insert(with_base.begin(),
+                         SchemeConfig::fromName("baseline"));
         for (const auto &s : with_base) {
             double acc[3] = {};
             int n[3] = {};

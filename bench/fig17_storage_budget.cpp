@@ -39,21 +39,21 @@ main()
 
     for (const char *pf : {"ipcp", "berti"}) {
         SystemConfig big = benchConfig(pf);
-        big.l1_pf_table_scale = 2;
+        big.l1_pf_params.set("table_scale_shift", 2);
         prewarm(ws, {benchConfig(pf), big,
-                     benchConfig(pf, SchemeConfig::hermesPlus7kb()),
-                     benchConfig(pf, SchemeConfig::tlp())});
+                     benchConfig(pf, SchemeConfig::fromName("hermes+7kb")),
+                     benchConfig(pf, SchemeConfig::fromName("tlp"))});
     }
 
     for (const char *pf : {"ipcp", "berti"}) {
         SystemConfig base_cfg = benchConfig(pf);
 
         SystemConfig pf_big = benchConfig(pf);
-        pf_big.l1_pf_table_scale = 2;   // 4x tables ≈ +7 KB
+        pf_big.l1_pf_params.set("table_scale_shift", 2);   // 4x ≈ +7 KB
 
         SystemConfig hermes_big
-            = benchConfig(pf, SchemeConfig::hermesPlus7kb());
-        SystemConfig tlp = benchConfig(pf, SchemeConfig::tlp());
+            = benchConfig(pf, SchemeConfig::fromName("hermes+7kb"));
+        SystemConfig tlp = benchConfig(pf, SchemeConfig::fromName("tlp"));
 
         TablePrinter tp({"design", "gm speedup"}, 24);
         tp.printHeader(std::string("Figure 17 (" ) + pf

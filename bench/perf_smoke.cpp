@@ -71,8 +71,8 @@ main()
     auto ws = workloads::singleCoreWorkloads(workloads::SetSize::Tiny);
     std::vector<SystemConfig> grid;
     for (const SchemeConfig &s :
-         {SchemeConfig::baseline(), SchemeConfig::hermes(),
-          SchemeConfig::tlp()}) {
+         {SchemeConfig::fromName("baseline"), SchemeConfig::fromName("hermes"),
+          SchemeConfig::fromName("tlp")}) {
         SystemConfig cfg = SystemConfig::cascadeLake(1);
         cfg.warmup_instrs = 10'000;
         cfg.sim_instrs = 40'000;

@@ -52,8 +52,9 @@ main()
                     "DRAM txns", "pf acc", "speedup");
         double base_ipc = 0.0;
         for (const SchemeConfig &scheme :
-             {SchemeConfig::baseline(), SchemeConfig::hermes(),
-              SchemeConfig::tlp()}) {
+             {SchemeConfig::fromName("baseline"),
+              SchemeConfig::fromName("hermes"),
+              SchemeConfig::fromName("tlp")}) {
             cfg.scheme = scheme;
             Simulator sim(cfg, {&trace});
             SimResult r = sim.run();

@@ -35,8 +35,8 @@ main()
         cfg.sim_instrs = 250'000;
 
         for (bool use_slp : {false, true}) {
-            cfg.scheme = use_slp ? SchemeConfig::tlp()
-                                 : SchemeConfig::baseline();
+            cfg.scheme = use_slp ? SchemeConfig::fromName("tlp")
+                                 : SchemeConfig::fromName("baseline");
             SimResult r = experiment::runSingleCore(w, cfg);
 
             std::printf("\n  [%s]\n", use_slp ? "TLP (SLP filter on)"

@@ -33,10 +33,10 @@ main()
     cfg.l1_prefetcher = "ipcp";   // registry name (see prefetcherRegistry())
 
     // 3/4. Run baseline vs TLP and compare.
-    cfg.scheme = SchemeConfig::baseline();
+    cfg.scheme = SchemeConfig::fromName("baseline");
     SimResult base = experiment::runSingleCore(workload, cfg);
 
-    cfg.scheme = SchemeConfig::tlp();
+    cfg.scheme = SchemeConfig::fromName("tlp");
     SimResult tlp = experiment::runSingleCore(workload, cfg);
 
     std::printf("\n%-28s %12s %12s\n", "metric", "baseline", "tlp");

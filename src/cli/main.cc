@@ -256,11 +256,13 @@ layeredConfig(const Options &o)
 {
     LayeredConfig lc;
     for (const std::string &path : o.config_files)
-        lc.merged.merge(Config::parseFile(path));
+        SystemConfig::overlay(lc.merged, Config::parseFile(path));
     lc.overrides.merge(Config::fromEnv());
-    for (const std::string &assignment : o.sets)
-        lc.overrides.merge(Config::parseAssignments(assignment, "--set"));
-    lc.merged.merge(lc.overrides);
+    for (const std::string &assignment : o.sets) {
+        SystemConfig::overlay(lc.overrides,
+                              Config::parseAssignments(assignment, "--set"));
+    }
+    SystemConfig::overlay(lc.merged, lc.overrides);
     // Legacy scale knobs: lowest precedence after built-in defaults.
     if (!lc.merged.has("warmup_instrs"))
         lc.merged.set("warmup_instrs", envWarmup(200'000));
@@ -601,7 +603,7 @@ run(const Options &o)
     }
 
     if (o.print_config) {
-        Config dump = base.toConfig();
+        Config dump = base.dumpConfig();
         // The mix is config too: a saved --print-config dump must
         // reproduce a single-mix design point, not just its system.
         // (Several mixes are a sweep axis, like repeated --scheme, and
@@ -619,7 +621,7 @@ run(const Options &o)
     // Scheme axis: explicit --scheme list, else the config's scheme for a
     // single run, else baseline + the paper schemes for a sweep. Explicit
     // scheme.* keys from --set / TLPSIM_CONF override every selected
-    // preset's fields (config-file scheme.* keys shape the file's own
+    // preset's keys (config-file scheme.* keys shape the file's own
     // scheme only, applied through `base` above).
     validateSchemeNames(o.schemes);
     const Config scheme_overrides = lc.overrides.sub("scheme");
@@ -645,7 +647,7 @@ run(const Options &o)
         for (const std::string &name : o.schemes)
             push_scheme(SchemeConfig::fromName(name));
     } else if (o.sweep) {
-        push_scheme(SchemeConfig::baseline());
+        push_scheme(SchemeConfig::fromName("baseline"));
         for (const SchemeConfig &s : SchemeConfig::paperSchemes())
             push_scheme(s);
     } else {

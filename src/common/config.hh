@@ -2,9 +2,10 @@
  * @file
  * Declarative configuration tree.
  *
- * A Config is an ordered map of dotted-path keys ("scheme.tau_high") to
- * string values with typed accessors — the data half of the component
- * registry API. Sources, lowest to highest precedence in the tlpsim CLI:
+ * A Config is an ordered map of dotted-path keys
+ * ("scheme.offchip.tau_high") to string values with typed accessors — the
+ * data half of the component registry API. Sources, lowest to highest
+ * precedence in the tlpsim CLI:
  *
  *   1. built-in defaults (SystemConfig::cascadeLake),
  *   2. config files      (Config::parseFile, "key = value" lines),

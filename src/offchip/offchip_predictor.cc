@@ -10,7 +10,6 @@ const char *
 toString(OffchipPolicy p)
 {
     switch (p) {
-      case OffchipPolicy::None: return "none";
       case OffchipPolicy::Immediate: return "immediate";
       case OffchipPolicy::AlwaysDelay: return "always_delay";
       case OffchipPolicy::Selective: return "selective";
@@ -22,13 +21,13 @@ OffchipPolicy
 offchipPolicyFromString(const std::string &s)
 {
     for (OffchipPolicy p :
-         {OffchipPolicy::None, OffchipPolicy::Immediate,
-          OffchipPolicy::AlwaysDelay, OffchipPolicy::Selective}) {
+         {OffchipPolicy::Immediate, OffchipPolicy::AlwaysDelay,
+          OffchipPolicy::Selective}) {
         if (s == toString(p))
             return p;
     }
     throw ConfigError("unknown off-chip policy '" + s
-                      + "'; valid names: none, immediate, always_delay, "
+                      + "'; valid names: immediate, always_delay, "
                         "selective");
 }
 
@@ -55,9 +54,6 @@ OffChipPredictor::Decision
 OffChipPredictor::predictLoad(Addr ip, Addr vaddr)
 {
     Decision d;
-    if (params_.policy == OffchipPolicy::None)
-        return d;
-
     FeatureContext ctx;
     ctx.pc = ip;
     ctx.addr = vaddr;
@@ -91,8 +87,6 @@ OffChipPredictor::predictLoad(Addr ip, Addr vaddr)
             d.delayed_flag = true;
         }
         d.predicted_offchip = d.spec_now || d.delayed_flag;
-        break;
-      case OffchipPolicy::None:
         break;
     }
     d.meta.predicted_offchip = d.predicted_offchip;
@@ -139,7 +133,7 @@ offchipKnobSchema(const OffChipPredictor::Params &d)
         {"name", d.name, "stat-counter prefix (per-cpu by default)"},
         {"policy", toString(d.policy),
          "speculative-request policy: immediate, always_delay, selective",
-         {"none", "immediate", "always_delay", "selective"}},
+         {"immediate", "always_delay", "selective"}},
         {"tau_high", d.tau_high,
          "immediate-fire threshold (Hermes tau_act / FLP tau_high)"},
         {"tau_low", d.tau_low,

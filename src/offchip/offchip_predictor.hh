@@ -28,10 +28,9 @@
 namespace tlpsim
 {
 
-/** When (if ever) a positive off-chip prediction fires the DRAM request. */
+/** When a positive off-chip prediction fires the DRAM request. */
 enum class OffchipPolicy
 {
-    None,        ///< no off-chip prediction (baseline)
     Immediate,   ///< Hermes / "FLP w/o selective delay": fire at the core
     AlwaysDelay, ///< Fig. 15 "Delayed TSP": fire only on L1D miss
     Selective,   ///< the paper's FLP: τ_high fires now, [τ_low, τ_high) delays
@@ -39,7 +38,7 @@ enum class OffchipPolicy
 
 const char *toString(OffchipPolicy p);
 
-/** Parse toString's names back ("none", "immediate", "always_delay",
+/** Parse toString's names back ("immediate", "always_delay",
  *  "selective"); throws ConfigError listing the valid names. */
 OffchipPolicy offchipPolicyFromString(const std::string &s);
 
@@ -51,9 +50,9 @@ class OffChipPredictor
         std::string name = "flp";
         OffchipPolicy policy = OffchipPolicy::Selective;
         /** Immediate-fire threshold (Hermes τ_act / FLP τ_high). */
-        int tau_high = 26;
+        int tau_high = 30;
         /** Predicted-off-chip threshold (FLP τ_low; Hermes uses τ_high). */
-        int tau_low = 2;
+        int tau_low = 8;
         int training_threshold = 30;
         /** Table scaling for the Fig. 17 "+7KB Hermes" design. */
         unsigned table_scale_shift = 0;

@@ -83,52 +83,4 @@ knobReference(const std::string &component)
     return out;
 }
 
-const char *
-toString(L1Prefetcher p)
-{
-    switch (p) {
-      case L1Prefetcher::None: return "no";
-      case L1Prefetcher::NextLine: return "next_line";
-      case L1Prefetcher::Ipcp: return "ipcp";
-      case L1Prefetcher::Berti: return "berti";
-    }
-    return "?";
-}
-
-const char *
-toString(L2Prefetcher p)
-{
-    switch (p) {
-      case L2Prefetcher::None: return "no";
-      case L2Prefetcher::Spp: return "spp";
-      case L2Prefetcher::SppAggressive: return "spp_aggressive";
-    }
-    return "?";
-}
-
-std::unique_ptr<Prefetcher>
-makeL1Prefetcher(L1Prefetcher kind, unsigned table_scale_shift)
-{
-    if (kind == L1Prefetcher::None)
-        return nullptr;
-    const char *name = toString(kind);
-    Config cfg;
-    // Not every L1 prefetcher has tables to scale (next_line): only pass
-    // the knob where it is declared, matching the Simulator's injection.
-    const KnobSchema *ks = prefetcherRegistry().knobs(name);
-    if (ks != nullptr && ks->contains("table_scale_shift"))
-        cfg.set("table_scale_shift", table_scale_shift);
-    return prefetcherRegistry().build(name, cfg);
-}
-
-std::unique_ptr<Prefetcher>
-makeL2Prefetcher(L2Prefetcher kind)
-{
-    if (kind == L2Prefetcher::None)
-        return nullptr;
-    Config cfg;
-    cfg.set("aggressive", kind == L2Prefetcher::SppAggressive);
-    return prefetcherRegistry().build("spp", cfg);
-}
-
 } // namespace tlpsim

@@ -1,23 +1,18 @@
 /**
  * @file
- * Component registries and the deprecated enum-based prefetcher factory.
+ * Component registries.
  *
  * Construction of prefetchers, prefetch filters, and off-chip predictors
  * goes through string-keyed registries (common/registry.hh); the
  * accessors below guarantee the built-in components (next_line, ipcp,
  * berti, spp, ppf, slp, flp, hermes) are registered before first use.
- *
- * The L1Prefetcher/L2Prefetcher enums and makeL1Prefetcher /
- * makeL2Prefetcher predate the registry and survive as thin shims over
- * registry lookups. New code should pass registry names (see
- * SystemConfig::l1_prefetcher) — the enums cannot name components the
- * core headers have never heard of, which is the point of the registry.
+ * Callers name components by registry key (see
+ * SystemConfig::l1_prefetcher), so a new component needs no core-header
+ * edit.
  */
 
 #ifndef TLPSIM_PREFETCH_FACTORY_HH
 #define TLPSIM_PREFETCH_FACTORY_HH
-
-#include <memory>
 
 #include "common/registry.hh"
 #include "common/stats.hh"
@@ -61,34 +56,6 @@ void registerPpfFilter();
 void registerSlpFilter();
 void registerOffchipPredictors();
 } // namespace detail
-
-// --- deprecated enum shims ----------------------------------------------
-
-/** [[deprecated]] L1D prefetcher selection; use registry names. */
-enum class L1Prefetcher
-{
-    None,
-    NextLine,
-    Ipcp,
-    Berti,
-};
-
-/** [[deprecated]] L2 prefetcher selection; use registry names. */
-enum class L2Prefetcher
-{
-    None,
-    Spp,
-    SppAggressive,   ///< the PPF-companion tuning (§V-E)
-};
-
-const char *toString(L1Prefetcher p);
-const char *toString(L2Prefetcher p);
-
-/** Shim: registry lookup of toString(kind) with table_scale_shift set. */
-std::unique_ptr<Prefetcher> makeL1Prefetcher(L1Prefetcher kind,
-                                             unsigned table_scale_shift = 0);
-/** Shim: registry lookup ("spp", aggressive flag for SppAggressive). */
-std::unique_ptr<Prefetcher> makeL2Prefetcher(L2Prefetcher kind);
 
 } // namespace tlpsim
 

@@ -197,12 +197,12 @@ Simulator::build()
         // Components are built through the string-keyed registries: the
         // scheme names what is deployed, and the buildConfig helpers
         // (shared with SystemConfig::effectiveConfig, so the fingerprint
-        // matches construction) assemble the named paper knobs plus the
-        // forwarded subtree (scheme.offchip.* et al.) — so new backends
-        // drop in via registration plus config alone. build() validates
-        // every key against the component's declared knob schema. Only
-        // the per-cpu stat name is injected here, and a user-set "name"
-        // subtree key still wins.
+        // matches construction) hand each builder its forwarded subtree
+        // (scheme.offchip.* et al.) — so new backends drop in via
+        // registration plus config alone. build() validates every key
+        // against the component's declared knob schema. Only the per-cpu
+        // stat name is injected here, and a user-set "name" subtree key
+        // still wins.
         if (sch.hasOffchip()) {
             Config oc = sch.offchipBuildConfig();
             if (!oc.has("name"))
@@ -259,8 +259,10 @@ Simulator::build()
         p1.filter = l1_filter_.back().get();
         p1.translator = translator_.get();
         // The delayed speculative path exists for FLP-style policies.
-        if (sch.offchip_policy == OffchipPolicy::Selective
-            || sch.offchip_policy == OffchipPolicy::AlwaysDelay) {
+        if (const OffChipPredictor *op = offchip_.back().get();
+            op != nullptr
+            && (op->params().policy == OffchipPolicy::Selective
+                || op->params().policy == OffchipPolicy::AlwaysDelay)) {
             p1.spec_dram = dram_.get();
         }
         p1.spec_latency = cfg_.core.spec_latency;

@@ -12,136 +12,47 @@ namespace tlpsim
 namespace
 {
 
-SchemeConfig
-makeBaseline()
-{
-    return {};
-}
+/** A preset's scheme keys: what it sets beyond the component defaults. */
+using PresetKeys = std::vector<std::pair<std::string, std::string>>;
 
-SchemeConfig
-makePpf()
-{
-    SchemeConfig s;
-    s.name = "ppf";
-    s.l2_filter = "ppf";
-    return s;
-}
-
-SchemeConfig
-makeHermes()
-{
-    SchemeConfig s;
-    s.name = "hermes";
-    s.offchip = "hermes";
-    s.offchip_policy = OffchipPolicy::Immediate;
-    s.tau_high = 4;   // Hermes' single activation threshold (aggressive)
-    return s;
-}
-
-SchemeConfig
-makeHermesPpf()
-{
-    SchemeConfig s = makeHermes();
-    s.name = "hermes+ppf";
-    s.l2_filter = "ppf";
-    return s;
-}
-
-SchemeConfig
-makeTlp()
-{
-    SchemeConfig s;
-    s.name = "tlp";
-    s.offchip = "flp";
-    s.offchip_policy = OffchipPolicy::Selective;
-    s.l1_filter = "slp";
-    s.slp_flp_feature = true;
-    return s;
-}
-
-SchemeConfig
-makeFlpOnly()
-{
-    SchemeConfig s;
-    s.name = "flp";
-    s.offchip = "flp";
-    s.offchip_policy = OffchipPolicy::Immediate;
-    s.tau_high = 4;   // without the delay mechanism FLP fires like Hermes
-    return s;
-}
-
-SchemeConfig
-makeSlpOnly()
-{
-    SchemeConfig s;
-    s.name = "slp";
-    s.l1_filter = "slp";
-    s.slp_flp_feature = false;   // no FLP exists to supply the feature
-    return s;
-}
-
-SchemeConfig
-makeTsp()
-{
-    SchemeConfig s;
-    s.name = "tsp";
-    s.offchip = "flp";
-    s.offchip_policy = OffchipPolicy::Immediate;
-    s.tau_high = 4;
-    s.l1_filter = "slp";
-    s.slp_flp_feature = false;
-    return s;
-}
-
-SchemeConfig
-makeDelayedTsp()
-{
-    SchemeConfig s;
-    s.name = "delayed_tsp";
-    s.offchip = "flp";
-    s.offchip_policy = OffchipPolicy::AlwaysDelay;
-    s.l1_filter = "slp";
-    s.slp_flp_feature = false;
-    return s;
-}
-
-SchemeConfig
-makeSelectiveTsp()
-{
-    SchemeConfig s;
-    s.name = "selective_tsp";
-    s.offchip = "flp";
-    s.offchip_policy = OffchipPolicy::Selective;
-    s.l1_filter = "slp";
-    s.slp_flp_feature = false;
-    return s;
-}
-
-SchemeConfig
-makeHermesPlus7kb()
-{
-    SchemeConfig s = makeHermes();
-    s.name = "hermes+7kb";
-    s.offchip_table_scale = 2;   // 4x tables ≈ +7.7 KB
-    return s;
-}
-
-/** Every named design point of the paper, keyed by scheme name. */
-const std::map<std::string, SchemeConfig (*)()> &
+/** Every named design point of the paper, keyed by scheme name. Each
+ *  entry states only what differs from the deployed components' declared
+ *  knob defaults (flp: selective 30/8, hermes: immediate tau_high 4). */
+const std::map<std::string, PresetKeys> &
 presetTable()
 {
-    static const std::map<std::string, SchemeConfig (*)()> table = {
-        {"baseline", makeBaseline},
-        {"ppf", makePpf},
-        {"hermes", makeHermes},
-        {"hermes+ppf", makeHermesPpf},
-        {"tlp", makeTlp},
-        {"flp", makeFlpOnly},
-        {"slp", makeSlpOnly},
-        {"tsp", makeTsp},
-        {"delayed_tsp", makeDelayedTsp},
-        {"selective_tsp", makeSelectiveTsp},
-        {"hermes+7kb", makeHermesPlus7kb},
+    static const std::map<std::string, PresetKeys> table = {
+        {"baseline", {}},
+        {"ppf", {{"l2_filter", "ppf"}}},
+        {"hermes", {{"offchip", "hermes"}}},
+        {"hermes+ppf", {{"offchip", "hermes"}, {"l2_filter", "ppf"}}},
+        {"tlp", {{"offchip", "flp"}, {"l1_filter", "slp"}}},
+        // Fig. 15 ablations. Without the delay mechanism FLP fires like
+        // Hermes; SLP without FLP has no FLP output to use as a feature.
+        {"flp",
+         {{"offchip", "flp"},
+          {"offchip.policy", "immediate"},
+          {"offchip.tau_high", "4"}}},
+        {"slp",
+         {{"l1_filter", "slp"}, {"l1_filter.use_flp_feature", "false"}}},
+        {"tsp",
+         {{"offchip", "flp"},
+          {"offchip.policy", "immediate"},
+          {"offchip.tau_high", "4"},
+          {"l1_filter", "slp"},
+          {"l1_filter.use_flp_feature", "false"}}},
+        {"delayed_tsp",
+         {{"offchip", "flp"},
+          {"offchip.policy", "always_delay"},
+          {"l1_filter", "slp"},
+          {"l1_filter.use_flp_feature", "false"}}},
+        {"selective_tsp",
+         {{"offchip", "flp"},
+          {"l1_filter", "slp"},
+          {"l1_filter.use_flp_feature", "false"}}},
+        // Fig. 17: 4x tables ≈ +7.7 KB.
+        {"hermes+7kb",
+         {{"offchip", "hermes"}, {"offchip.table_scale_shift", "2"}}},
     };
     return table;
 }
@@ -160,24 +71,6 @@ renderComponentName(const std::string &name)
     static const std::string none = "none";
     return name.empty() ? none : name;
 }
-
-/** set(key, value) on @p out only when the schema is absent (component
- *  without declared knobs) or declares @p key — the named paper knobs
- *  (tau_high, table_scale_shift, ...) are injected only into components
- *  that consume them. */
-struct KnobInjector
-{
-    Config &out;
-    const KnobSchema *schema;
-
-    template <typename V>
-    void
-    operator()(const char *key, V &&value) const
-    {
-        if (schema == nullptr || schema->contains(key))
-            out.set(key, std::forward<V>(value));
-    }
-};
 
 /**
  * Knob-schema check of one forwarded component subtree: every key of
@@ -210,43 +103,35 @@ SchemeConfig::fromName(const std::string &name)
         throw ConfigError("unknown scheme '" + name
                           + "'; valid names: " + joinNames(names()));
     }
-    return it->second();
+    Config keys;
+    keys.set("name", name);
+    for (const auto &[key, value] : it->second)
+        keys.set(key, value);
+    return fromConfig(keys);
 }
 
 std::vector<std::string>
 SchemeConfig::names()
 {
     std::vector<std::string> out;
-    for (const auto &[n, fn] : presetTable())
+    for (const auto &[n, keys] : presetTable())
         out.push_back(n);
     return out;
 }
 
-SchemeConfig SchemeConfig::baseline() { return fromName("baseline"); }
-SchemeConfig SchemeConfig::ppfScheme() { return fromName("ppf"); }
-SchemeConfig SchemeConfig::hermes() { return fromName("hermes"); }
-SchemeConfig SchemeConfig::hermesPpf() { return fromName("hermes+ppf"); }
-SchemeConfig SchemeConfig::tlp() { return fromName("tlp"); }
-SchemeConfig SchemeConfig::flpOnly() { return fromName("flp"); }
-SchemeConfig SchemeConfig::slpOnly() { return fromName("slp"); }
-SchemeConfig SchemeConfig::tsp() { return fromName("tsp"); }
-SchemeConfig SchemeConfig::delayedTsp() { return fromName("delayed_tsp"); }
-SchemeConfig SchemeConfig::selectiveTsp()
-{
-    return fromName("selective_tsp");
-}
-SchemeConfig SchemeConfig::hermesPlus7kb() { return fromName("hermes+7kb"); }
-
 std::vector<SchemeConfig>
 SchemeConfig::paperSchemes()
 {
-    return {ppfScheme(), hermes(), hermesPpf(), tlp()};
+    return {fromName("ppf"), fromName("hermes"), fromName("hermes+ppf"),
+            fromName("tlp")};
 }
 
 std::vector<SchemeConfig>
 SchemeConfig::ablationSchemes()
 {
-    return {flpOnly(), slpOnly(), tsp(), delayedTsp(), selectiveTsp(), tlp()};
+    return {fromName("flp"), fromName("slp"), fromName("tsp"),
+            fromName("delayed_tsp"), fromName("selective_tsp"),
+            fromName("tlp")};
 }
 
 SchemeConfig
@@ -260,31 +145,22 @@ SchemeConfig::fromConfig(const Config &cfg, const SchemeConfig &defaults)
 {
     SchemeConfig s = defaults;
     s.name = cfg.getString("name", s.name);
-    s.offchip = normalizeComponentName(cfg.getString("offchip", s.offchip));
-    if (cfg.has("offchip_policy")) {
-        s.offchip_policy
-            = offchipPolicyFromString(cfg.getString("offchip_policy"));
-    }
-    s.tau_high = cfg.getInt32("tau_high", s.tau_high);
-    s.tau_low = cfg.getInt32("tau_low", s.tau_low);
-    s.offchip_training_threshold
-        = cfg.getInt32("offchip_training_threshold",
-                                      s.offchip_training_threshold);
-    s.offchip_table_scale = cfg.getUnsigned32("offchip_table_scale", s.offchip_table_scale);
-    s.l1_filter
-        = normalizeComponentName(cfg.getString("l1_filter", s.l1_filter));
-    s.slp_flp_feature = cfg.getBool("slp_flp_feature", s.slp_flp_feature);
-    s.slp_tau_pref
-        = cfg.getInt32("slp_tau_pref", s.slp_tau_pref);
-    s.l2_filter
-        = normalizeComponentName(cfg.getString("l2_filter", s.l2_filter));
 
-    // Arbitrary per-component subtrees overlay the defaults' subtrees;
-    // the keys are component-defined and validated (or defaulted) by the
-    // registry builder that receives them, not here.
-    s.offchip_params.merge(cfg.sub("offchip"));
-    s.l1_filter_params.merge(cfg.sub("l1_filter"));
-    s.l2_filter_params.merge(cfg.sub("l2_filter"));
+    // Arbitrary per-component subtrees overlay the defaults' subtrees —
+    // unless cfg swaps the component, whose knobs those were. The keys
+    // are component-defined and checked against its schema below.
+    auto slot = [&cfg](const std::string &key, std::string &component,
+                       Config &params) {
+        std::string chosen
+            = normalizeComponentName(cfg.getString(key, component));
+        if (chosen != component)
+            params = Config{};
+        component = chosen;
+        params.merge(cfg.sub(key));
+    };
+    slot("offchip", s.offchip, s.offchip_params);
+    slot("l1_filter", s.l1_filter, s.l1_filter_params);
+    slot("l2_filter", s.l2_filter, s.l2_filter_params);
 
     if (s.hasOffchip() && !offchipRegistry().contains(s.offchip)) {
         throw ConfigError("scheme.offchip: unknown off-chip predictor '"
@@ -297,18 +173,6 @@ SchemeConfig::fromConfig(const Config &cfg, const SchemeConfig &defaults)
                               + "'; valid names: "
                               + filterRegistry().namesLine());
         }
-    }
-    if (s.hasOffchip() && s.offchip_policy == OffchipPolicy::None) {
-        throw ConfigError("scheme.offchip = '" + s.offchip
-                          + "' requires scheme.offchip_policy to be "
-                            "immediate, always_delay, or selective");
-    }
-    if (!s.hasOffchip() && s.offchip_policy != OffchipPolicy::None) {
-        throw ConfigError(std::string{"scheme.offchip_policy = '"}
-                          + toString(s.offchip_policy)
-                          + "' requires scheme.offchip to name a predictor "
-                            "(valid names: "
-                          + offchipRegistry().namesLine() + ")");
     }
 
     // Unknown relative keys ("scheme.bogus") — everything understood was
@@ -349,14 +213,7 @@ SchemeConfig::toConfig() const
     Config c;
     c.set("name", name);
     c.set("offchip", renderComponentName(offchip));
-    c.set("offchip_policy", toString(offchip_policy));
-    c.set("tau_high", tau_high);
-    c.set("tau_low", tau_low);
-    c.set("offchip_training_threshold", offchip_training_threshold);
-    c.set("offchip_table_scale", offchip_table_scale);
     c.set("l1_filter", renderComponentName(l1_filter));
-    c.set("slp_flp_feature", slp_flp_feature);
-    c.set("slp_tau_pref", slp_tau_pref);
     c.set("l2_filter", renderComponentName(l2_filter));
     for (const std::string &k : offchip_params.keys())
         c.set("offchip." + k, offchip_params.getString(k));
@@ -370,40 +227,19 @@ SchemeConfig::toConfig() const
 Config
 SchemeConfig::offchipBuildConfig() const
 {
-    Config oc;
-    if (!hasOffchip())
-        return oc;
-    KnobInjector inject{oc, offchipRegistry().knobs(offchip)};
-    inject("policy", toString(offchip_policy));
-    inject("tau_high", tau_high);
-    inject("tau_low", tau_low);
-    inject("training_threshold", offchip_training_threshold);
-    inject("table_scale_shift", offchip_table_scale);
-    oc.merge(offchip_params);
-    return oc;
+    return hasOffchip() ? offchip_params : Config{};
 }
 
 Config
 SchemeConfig::l1FilterBuildConfig() const
 {
-    Config fc;
-    if (!hasL1Filter())
-        return fc;
-    KnobInjector inject{fc, filterRegistry().knobs(l1_filter)};
-    inject("tau_pref", slp_tau_pref);
-    inject("use_flp_feature", slp_flp_feature);
-    fc.merge(l1_filter_params);
-    return fc;
+    return hasL1Filter() ? l1_filter_params : Config{};
 }
 
 Config
 SchemeConfig::l2FilterBuildConfig() const
 {
-    Config fc;
-    if (!hasL2Filter())
-        return fc;
-    fc.merge(l2_filter_params);
-    return fc;
+    return hasL2Filter() ? l2_filter_params : Config{};
 }
 
 // ----------------------------------------------------------- SystemConfig
@@ -560,8 +396,6 @@ SystemConfig::fromConfig(const Config &cfg)
 
     c.l1_prefetcher = normalizeComponentName(
         cfg.getString("l1d.prefetcher", c.l1_prefetcher));
-    c.l1_pf_table_scale = getU32(cfg, "l1d.prefetcher_table_scale",
-                                 c.l1_pf_table_scale);
     c.l2_prefetcher = normalizeComponentName(
         cfg.getString("l2.prefetcher", c.l2_prefetcher));
     c.l1_pf_params.merge(cfg.sub("l1d.prefetcher"));
@@ -670,7 +504,6 @@ SystemConfig::toConfig() const
     c.set("core_ghz", core_ghz);
 
     c.set("l1d.prefetcher", renderComponentName(l1_prefetcher));
-    c.set("l1d.prefetcher_table_scale", l1_pf_table_scale);
     c.set("l2.prefetcher", renderComponentName(l2_prefetcher));
     for (const std::string &k : l1_pf_params.keys())
         c.set("l1d.prefetcher." + k, l1_pf_params.getString(k));
@@ -711,13 +544,7 @@ SystemConfig::toConfig() const
 Config
 SystemConfig::l1PrefetcherBuildConfig() const
 {
-    Config pc;
-    if (l1_prefetcher.empty())
-        return pc;
-    KnobInjector inject{pc, prefetcherRegistry().knobs(l1_prefetcher)};
-    inject("table_scale_shift", l1_pf_table_scale);
-    pc.merge(l1_pf_params);
-    return pc;
+    return l1_prefetcher.empty() ? Config{} : l1_pf_params;
 }
 
 Config
@@ -727,9 +554,11 @@ SystemConfig::l2PrefetcherBuildConfig() const
     if (l2_prefetcher.empty())
         return pc;
     // The PPF-companion tuning (§V-E): with an L2 filter deployed the L2
-    // prefetcher runs aggressive and lets the filter prune.
-    KnobInjector inject{pc, prefetcherRegistry().knobs(l2_prefetcher)};
-    inject("aggressive", scheme.hasL2Filter());
+    // prefetcher runs aggressive and lets the filter prune. Injected only
+    // where declared; a user-set subtree key still wins.
+    const KnobSchema *ks = prefetcherRegistry().knobs(l2_prefetcher);
+    if (ks == nullptr || ks->contains("aggressive"))
+        pc.set("aggressive", scheme.hasL2Filter());
     pc.merge(l2_pf_params);
     return pc;
 }
@@ -769,6 +598,30 @@ SystemConfig::effectiveConfig() const
                l2PrefetcherBuildConfig());
     }
     return c;
+}
+
+Config
+SystemConfig::dumpConfig() const
+{
+    Config c = effectiveConfig();
+    if (!l2_pf_params.has("aggressive"))
+        c.erase("l2.prefetcher.aggressive");
+    return c;
+}
+
+void
+SystemConfig::overlay(Config &lower, const Config &upper)
+{
+    for (const char *slot :
+         {"scheme.offchip", "scheme.l1_filter", "scheme.l2_filter",
+          "l1d.prefetcher", "l2.prefetcher"}) {
+        if (lower.has(slot) && upper.has(slot)
+            && normalizeComponentName(lower.getString(slot))
+                   != normalizeComponentName(upper.getString(slot))) {
+            lower.eraseSub(slot);
+        }
+    }
+    lower.merge(upper);
 }
 
 unsigned

@@ -10,7 +10,9 @@
  * design point in the paper (baseline, PPF, Hermes, Hermes+PPF, TLP, the
  * Fig. 15 ablations, Fig. 17's storage-boosted variants) is a named
  * SchemeConfig preset (SchemeConfig::fromName) shipped as a config file
- * under configs/.
+ * under configs/. A component is tuned only through its own declared
+ * knobs (scheme.offchip.tau_high, l1d.prefetcher.table_scale_shift,
+ * ...), and its KnobSchema default is the only default.
  */
 
 #ifndef TLPSIM_SIM_SYSTEM_CONFIG_HH
@@ -39,27 +41,18 @@ struct SchemeConfig
 
     /** Off-chip predictor registry name ("flp", "hermes"; "" = none). */
     std::string offchip;
-    OffchipPolicy offchip_policy = OffchipPolicy::None;
-    int tau_high = 30;   ///< FLP τ_high / Hermes activation threshold
-    int tau_low = 8;     ///< FLP τ_low (predicted-off-chip cut)
-    int offchip_training_threshold = 30;
-    unsigned offchip_table_scale = 0;   ///< Fig. 17 "+7KB Hermes"
-
     /** L1D prefetch-filter registry name ("slp"; "" = none). */
     std::string l1_filter;
-    bool slp_flp_feature = true;
-    int slp_tau_pref = 8;
-
     /** L2 prefetch-filter registry name ("ppf"; "" = none). */
     std::string l2_filter;
 
     /**
-     * Arbitrary per-component subtrees, forwarded verbatim to the
-     * registry builders on top of the named knobs above (subtree keys
-     * win). "scheme.offchip.table_scale_shift = 2" tunes the off-chip
-     * predictor without SchemeConfig having heard of the key — the
-     * point of the registry: new backends bring new knobs without core
-     * edits. Relative keys: "offchip.*", "l1_filter.*", "l2_filter.*".
+     * Per-component subtrees, forwarded verbatim to the registry builders:
+     * "scheme.offchip.tau_high = 4" tunes the off-chip predictor without
+     * SchemeConfig having heard of the key — the point of the registry:
+     * new backends bring new knobs without core edits. A knob left unset
+     * takes its component's declared KnobSchema default. Relative keys:
+     * "offchip.*", "l1_filter.*", "l2_filter.*".
      */
     Config offchip_params;
     Config l1_filter_params;
@@ -79,21 +72,6 @@ struct SchemeConfig
     /** Sorted names of every shipped scheme preset. */
     static std::vector<std::string> names();
 
-    // Deprecated preset accessors (shims over fromName).
-    static SchemeConfig baseline();
-    static SchemeConfig ppfScheme();       ///< PPF over aggressive SPP
-    static SchemeConfig hermes();          ///< Hermes (immediate)
-    static SchemeConfig hermesPpf();       ///< Hermes + PPF
-    static SchemeConfig tlp();             ///< FLP selective + SLP (+feature)
-    // Fig. 15 ablation points
-    static SchemeConfig flpOnly();         ///< FLP w/o selective delay
-    static SchemeConfig slpOnly();         ///< SLP w/o FLP
-    static SchemeConfig tsp();             ///< FLP immediate + SLP w/o feature
-    static SchemeConfig delayedTsp();      ///< always-delay + SLP w/o feature
-    static SchemeConfig selectiveTsp();    ///< selective + SLP w/o feature
-    // Fig. 17
-    static SchemeConfig hermesPlus7kb();
-
     /** The four comparison points of Figs. 10-14. */
     static std::vector<SchemeConfig> paperSchemes();
 
@@ -102,8 +80,10 @@ struct SchemeConfig
 
     // --- declarative config ---------------------------------------------
     /**
-     * Apply relative keys ("offchip", "tau_high", ...) over @p defaults;
-     * validates registry names, policy consistency, and — for every
+     * Apply relative keys ("offchip", "offchip.tau_high", ...) over
+     * @p defaults. A slot @p cfg fills with a different component starts
+     * from an empty subtree: the defaults' knobs (a preset's) tuned the
+     * component being replaced. Validates registry names and — for every
      * deployed component that declared a KnobSchema — the forwarded
      * subtree: unknown keys under "offchip.", "l1_filter.", "l2_filter."
      * and wrongly-typed values are collected across all three slots and
@@ -121,11 +101,11 @@ struct SchemeConfig
     // --- component builder configs --------------------------------------
     /**
      * The exact Config the registry builder of each deployed slot
-     * receives (named knobs the component declares, overlaid with the
-     * forwarded subtree), minus the per-cpu stat "name" the Simulator
-     * injects. Shared by the Simulator (construction) and
-     * SystemConfig::effectiveConfig (fingerprinting), so the fingerprint
-     * can never disagree with what is built.
+     * receives (its forwarded subtree; empty for an empty slot), minus
+     * the per-cpu stat "name" the Simulator injects. Shared by the
+     * Simulator (construction) and SystemConfig::effectiveConfig
+     * (fingerprinting), so the fingerprint can never disagree with what
+     * is built.
      */
     Config offchipBuildConfig() const;
     Config l1FilterBuildConfig() const;
@@ -155,7 +135,6 @@ struct SystemConfig
 
     /** L1D prefetcher registry name ("" = none). */
     std::string l1_prefetcher = "ipcp";
-    unsigned l1_pf_table_scale = 0;     ///< Fig. 17 "+7KB IPCP/Berti"
     /** L2 prefetcher registry name ("" = none). */
     std::string l2_prefetcher = "spp";
     /** Arbitrary prefetcher subtrees ("l1d.prefetcher.*" /
@@ -191,17 +170,36 @@ struct SystemConfig
     /**
      * toConfig() with every deployed component's subtree expanded to its
      * full effective knob set: declared schema defaults overlaid with
-     * the named knobs and user-set subtree keys (the per-cpu stat "name"
-     * excluded). This is the Runner fingerprint (experiment::configKey):
-     * it captures effective — not just user-set — knob values, so a
-     * changed component default can never silently alias two different
-     * design points. Re-parsing an effectiveConfig() dump reproduces the
-     * same design point (expansion is idempotent).
+     * the builder config (the per-cpu stat "name" excluded). This is the
+     * Runner fingerprint (experiment::configKey): it captures effective —
+     * not just user-set — knob values, so a changed component default can
+     * never silently alias two different design points. Re-parsing an
+     * effectiveConfig() dump reproduces the same design point (expansion
+     * is idempotent).
      */
     Config effectiveConfig() const;
 
+    /**
+     * The --print-config dump: effectiveConfig() minus the L2
+     * prefetcher's "aggressive" flag unless l2_pf_params sets it. The
+     * flag is derived from scheme.l2_filter at build time; frozen into a
+     * dump it would pin this scheme's tuning on every scheme the dump is
+     * later reused under (--scheme, --sweep).
+     */
+    Config dumpConfig() const;
+
+    /**
+     * Overlay config layer @p upper on @p lower (files < TLPSIM_CONF <
+     * --set; @p upper wins per key). Where both layers name a component
+     * for a slot ("scheme.offchip", "l1d.prefetcher", ...) and the
+     * names differ, @p lower's knobs for that slot are dropped first:
+     * they tuned the component being replaced.
+     */
+    static void overlay(Config &lower, const Config &upper);
+
     /** Builder configs of the prefetcher slots (cf. the SchemeConfig
-     *  helpers): named knobs the component declares + forwarded subtree. */
+     *  helpers): the forwarded subtree, plus the L2 prefetcher's
+     *  "aggressive" flag derived from the scheme. */
     Config l1PrefetcherBuildConfig() const;
     Config l2PrefetcherBuildConfig() const;
 

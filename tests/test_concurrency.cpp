@@ -44,7 +44,7 @@ namespace
 {
 
 SystemConfig
-tinyConfig(const SchemeConfig &scheme = SchemeConfig::baseline())
+tinyConfig(const SchemeConfig &scheme = SchemeConfig::fromName("baseline"))
 {
     SystemConfig cfg = SystemConfig::cascadeLake(1);
     cfg.warmup_instrs = 5'000;
@@ -238,7 +238,7 @@ TEST(RunnerConcurrency, ColdCacheGridBitIdentical1v8Jobs)
     ASSERT_GE(ws.size(), 4u);
     ws.resize(4);
     std::vector<SystemConfig> grid{tinyConfig(),
-                                   tinyConfig(SchemeConfig::tlp())};
+                                   tinyConfig(SchemeConfig::fromName("tlp"))};
 
     auto run_grid = [&](unsigned jobs) {
         clearTraceCache();   // every worker sees a cold cache

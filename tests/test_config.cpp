@@ -52,11 +52,11 @@ TEST(Config, MergeLaterWins)
 
 TEST(Config, SubStripsPrefix)
 {
-    Config c = Config::parse("scheme.name = tlp\nscheme.tau_high = 9\n"
-                             "cores = 1\n");
+    Config c = Config::parse("scheme.name = tlp\n"
+                             "scheme.offchip.tau_high = 9\ncores = 1\n");
     Config s = c.sub("scheme");
     EXPECT_EQ(s.getString("name"), "tlp");
-    EXPECT_EQ(s.getInt("tau_high", 0), 9);
+    EXPECT_EQ(s.getInt("offchip.tau_high", 0), 9);
     EXPECT_FALSE(s.has("cores"));
 }
 
@@ -119,16 +119,6 @@ TEST(SchemeConfig, ElevenShippedPresets)
     EXPECT_EQ(SchemeConfig::names().size(), 11u);
 }
 
-TEST(SchemeConfig, FromNameMatchesDeprecatedAccessors)
-{
-    EXPECT_EQ(SchemeConfig::fromName("tlp"), SchemeConfig::tlp());
-    EXPECT_EQ(SchemeConfig::fromName("baseline"), SchemeConfig::baseline());
-    EXPECT_EQ(SchemeConfig::fromName("hermes+ppf"),
-              SchemeConfig::hermesPpf());
-    EXPECT_EQ(SchemeConfig::fromName("delayed_tsp"),
-              SchemeConfig::delayedTsp());
-}
-
 TEST(SchemeConfig, UnknownNameListsValidNames)
 {
     try {
@@ -163,12 +153,16 @@ TEST(SystemConfig, RoundTripsEveryScheme)
 TEST(SystemConfig, SchemeShorthandSelectsPreset)
 {
     Config c = Config::parse("scheme = tlp\n");
-    EXPECT_EQ(SystemConfig::fromConfig(c).scheme, SchemeConfig::tlp());
+    EXPECT_EQ(SystemConfig::fromConfig(c).scheme,
+              SchemeConfig::fromName("tlp"));
 
     // Explicit scheme.* keys override the preset.
-    Config c2 = Config::parse("scheme = tlp\nscheme.tau_high = 11\n");
+    Config c2
+        = Config::parse("scheme = flp\nscheme.offchip.tau_high = 11\n");
     SystemConfig cfg = SystemConfig::fromConfig(c2);
-    EXPECT_EQ(cfg.scheme.tau_high, 11);
+    EXPECT_EQ(cfg.scheme.offchipBuildConfig().getString("tau_high"), "11");
+    EXPECT_EQ(cfg.scheme.offchipBuildConfig().getString("policy"),
+              "immediate");
     EXPECT_EQ(cfg.scheme.offchip, "flp");
 }
 
@@ -191,9 +185,90 @@ TEST(SystemConfig, ShippedPresetFilesMatchCodePresets)
     }
 }
 
+// A slot cfg refills with another component starts from an empty
+// subtree: the preset's knobs for it tuned the component it replaces.
+// Restating the same component keeps them.
+TEST(SchemeConfig, SwappedSlotDropsPresetKnobs)
+{
+    const SchemeConfig tsp = SchemeConfig::fromName("tsp");
+    SchemeConfig no_filter
+        = SchemeConfig::fromConfig(Config::parse("l1_filter = none\n"), tsp);
+    EXPECT_FALSE(no_filter.hasL1Filter());
+    EXPECT_TRUE(no_filter.l1_filter_params.empty());
+    EXPECT_EQ(no_filter.offchip_params, tsp.offchip_params);
+
+    SchemeConfig hermes
+        = SchemeConfig::fromConfig(Config::parse("offchip = hermes\n"), tsp);
+    EXPECT_EQ(hermes.offchip, "hermes");
+    EXPECT_TRUE(hermes.offchip_params.empty());
+
+    EXPECT_EQ(SchemeConfig::fromConfig(Config::parse("offchip = flp\n"), tsp),
+              tsp);
+}
+
+// Config layers (files < TLPSIM_CONF < --set): a layer that names another
+// component for a slot drops the lower layers' knobs for it, so a preset
+// file or a --print-config dump stays editable.
+TEST(SystemConfig, LayerSwappingAComponentDropsItsKnobs)
+{
+    Config merged = Config::parseFile(TLPSIM_CONFIGS_DIR "/tsp.conf");
+    SystemConfig::overlay(
+        merged, Config::parseAssignments(
+                    "scheme.l1_filter=none, scheme.offchip=hermes"));
+    SystemConfig cfg = SystemConfig::fromConfig(merged);
+    EXPECT_FALSE(cfg.scheme.hasL1Filter());
+    EXPECT_TRUE(cfg.scheme.l1_filter_params.empty());
+    EXPECT_EQ(cfg.scheme.offchip, "hermes");
+    EXPECT_TRUE(cfg.scheme.offchip_params.empty());
+
+    // A dump expands ipcp's knobs; replacing or emptying the prefetcher
+    // must not trip over them.
+    for (const char *pf : {"berti", "none"}) {
+        Config dump = SystemConfig::cascadeLake(1).dumpConfig();
+        SystemConfig::overlay(
+            dump, Config::parseAssignments(std::string("l1d.prefetcher=")
+                                           + pf));
+        EXPECT_NO_THROW(SystemConfig::fromConfig(dump)) << pf;
+    }
+
+    Config same = Config::parseFile(TLPSIM_CONFIGS_DIR "/tsp.conf");
+    SystemConfig::overlay(same,
+                          Config::parseAssignments("scheme.offchip=flp"));
+    EXPECT_EQ(SystemConfig::fromConfig(same).scheme,
+              SchemeConfig::fromName("tsp"));
+}
+
+// A --print-config dump reused as the base config of a --scheme / --sweep
+// grid must give each preset its own design point: the L2 prefetcher's
+// aggressive flag follows the selected scheme, not the dumped one.
+TEST(SystemConfig, DumpReusedUnderAnotherSchemeMatchesThePreset)
+{
+    for (const char *dumped : {"baseline", "ppf"}) {
+        SystemConfig src = SystemConfig::cascadeLake(1);
+        src.scheme = SchemeConfig::fromName(dumped);
+        const SystemConfig base = SystemConfig::fromConfig(
+            Config::parse(src.dumpConfig().serialize(), dumped));
+        for (const std::string &name : SchemeConfig::names()) {
+            SystemConfig reused = base;
+            reused.scheme = SchemeConfig::fromName(name);
+            SystemConfig plain = SystemConfig::cascadeLake(1);
+            plain.scheme = SchemeConfig::fromName(name);
+            EXPECT_EQ(experiment::configKey(reused),
+                      experiment::configKey(plain))
+                << dumped << " dump under --scheme " << name;
+        }
+    }
+
+    // A flag the user set is theirs, and the dump keeps it.
+    SystemConfig set = SystemConfig::fromConfig(
+        Config::parse("l2.prefetcher.aggressive = true\n"));
+    EXPECT_EQ(set.dumpConfig().getString("l2.prefetcher.aggressive"),
+              "true");
+}
+
 // Arbitrary per-component subtrees: scheme.offchip.* / scheme.l1_filter.*
-// (and l1d.prefetcher.* / l2.prefetcher.*) keys the named knobs have
-// never heard of must round-trip, fingerprint distinctly, and reach the
+// (and l1d.prefetcher.* / l2.prefetcher.*) keys SchemeConfig has never
+// heard of must round-trip, fingerprint distinctly, and reach the
 // registry builders.
 TEST(SystemConfig, ComponentSubtreesRoundTripAndFingerprint)
 {
@@ -299,8 +374,7 @@ TEST(SystemConfig, UnknownPrefetcherListsRegistryNames)
 
 TEST(SystemConfig, UnknownOffchipPredictorListsRegistryNames)
 {
-    Config c = Config::parse("scheme.offchip = athena\n"
-                             "scheme.offchip_policy = immediate\n");
+    Config c = Config::parse("scheme.offchip = athena\n");
     try {
         SystemConfig::fromConfig(c);
         FAIL() << "expected ConfigError";
@@ -312,27 +386,46 @@ TEST(SystemConfig, UnknownOffchipPredictorListsRegistryNames)
     }
 }
 
-TEST(SystemConfig, OffchipNameWithoutPolicyIsRejected)
+// The named scheme.* knobs are gone: each component is tuned only
+// through its own subtree, so the old spellings are plain unknown keys.
+TEST(SystemConfig, RetiredNamedKnobsAreUnknownKeys)
 {
-    EXPECT_THROW(
-        SystemConfig::fromConfig(Config::parse("scheme.offchip = flp\n")),
-        ConfigError);
-    EXPECT_THROW(SystemConfig::fromConfig(
-                     Config::parse("scheme.offchip_policy = selective\n")),
-                 ConfigError);
+    for (const std::string key :
+         {"scheme.offchip_policy", "scheme.tau_high", "scheme.tau_low",
+          "scheme.offchip_training_threshold", "scheme.offchip_table_scale",
+          "scheme.slp_flp_feature", "scheme.slp_tau_pref",
+          "l1d.prefetcher_table_scale"}) {
+        Config c = Config::parse("scheme = tlp\n");
+        c.set(key, 1);
+        try {
+            SystemConfig::fromConfig(c);
+            FAIL() << "expected ConfigError for " << key;
+        } catch (const ConfigError &e) {
+            std::string msg = e.what();
+            EXPECT_NE(msg.find("unknown config key '" + key + "'"),
+                      std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find("valid"), std::string::npos) << msg;
+        }
+    }
 }
 
 TEST(SystemConfig, BadPolicyListsValidPolicies)
 {
-    Config c = Config::parse("scheme.offchip = flp\n"
-                             "scheme.offchip_policy = sometimes\n");
-    try {
-        SystemConfig::fromConfig(c);
-        FAIL() << "expected ConfigError";
-    } catch (const ConfigError &e) {
-        std::string msg = e.what();
-        EXPECT_NE(msg.find("sometimes"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("selective"), std::string::npos) << msg;
+    // "none" is no policy: a deployed predictor that never fires is a
+    // config error, not a silent no-op.
+    for (const char *policy : {"sometimes", "none"}) {
+        Config c = Config::parse(std::string("scheme.offchip = flp\n"
+                                             "scheme.offchip.policy = ")
+                                 + policy + "\n");
+        try {
+            SystemConfig::fromConfig(c);
+            FAIL() << "expected ConfigError for " << policy;
+        } catch (const ConfigError &e) {
+            std::string msg = e.what();
+            EXPECT_NE(msg.find(policy), std::string::npos) << msg;
+            EXPECT_NE(msg.find("selective"), std::string::npos) << msg;
+        }
     }
 }
 
@@ -353,7 +446,7 @@ TEST(SystemConfig, PresetFileDesignPointMatchesBenchPath)
     SystemConfig bench_path = SystemConfig::cascadeLake(1);
     bench_path.warmup_instrs = 2'000;
     bench_path.sim_instrs = 6'000;
-    bench_path.scheme = SchemeConfig::tlp();
+    bench_path.scheme = SchemeConfig::fromName("tlp");
 
     EXPECT_EQ(experiment::configKey(cli_path),
               experiment::configKey(bench_path));

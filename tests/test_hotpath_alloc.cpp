@@ -166,8 +166,9 @@ TEST(HotPathAlloc, CountersActuallyCount)
 
 TEST(HotPathAlloc, BaselineSchemeSteadyStateIsAllocationFree)
 {
-    EXPECT_EQ(steadyStateAllocs("mcf_pchase", SchemeConfig::baseline(),
-                                400'000, 100'000),
+    EXPECT_EQ(steadyStateAllocs("mcf_pchase",
+                                SchemeConfig::fromName("baseline"), 400'000,
+                                100'000),
               0u);
 }
 
@@ -175,14 +176,14 @@ TEST(HotPathAlloc, TlpSchemeSteadyStateIsAllocationFree)
 {
     // The full paper scheme: FLP selective delay + SLP filtering +
     // IPCP/SPP prefetchers — the busiest per-cycle path in the system.
-    EXPECT_EQ(steadyStateAllocs("mcf_pchase", SchemeConfig::tlp(),
+    EXPECT_EQ(steadyStateAllocs("mcf_pchase", SchemeConfig::fromName("tlp"),
                                 400'000, 100'000),
               0u);
 }
 
 TEST(HotPathAlloc, GraphWorkloadSteadyStateIsAllocationFree)
 {
-    EXPECT_EQ(steadyStateAllocs("bfs.kron", SchemeConfig::tlp(),
+    EXPECT_EQ(steadyStateAllocs("bfs.kron", SchemeConfig::fromName("tlp"),
                                 400'000, 100'000),
               0u);
 }

@@ -251,7 +251,6 @@ TEST(KnobSchema, FilterAndOffchipKnobsRoundTrip)
         ASSERT_NE(ks, nullptr) << name;
         Config c;
         c.set("scheme.offchip", name);
-        c.set("scheme.offchip_policy", "immediate");
         Config defs = ks->defaults();
         for (const std::string &k : defs.keys())
             c.set("scheme.offchip." + k, defs.getString(k));
@@ -264,11 +263,11 @@ TEST(KnobSchema, FilterAndOffchipKnobsRoundTrip)
 TEST(KnobSchema, FingerprintExpandsSchemaDefaults)
 {
     SystemConfig cfg = SystemConfig::cascadeLake(1);
-    cfg.scheme = SchemeConfig::hermes();
+    cfg.scheme = SchemeConfig::fromName("hermes");
     std::string key = experiment::configKey(cfg);
-    // Knobs the user never set appear at their effective values: the
-    // named preset knob (tau_high = 4) and a pure schema default
-    // (tau_low), so a changed component default changes the fingerprint.
+    // Knobs the user never set appear at their effective values, here
+    // hermes' declared defaults (tau_high = 4, tau_low), so a changed
+    // component default changes the fingerprint.
     EXPECT_NE(key.find("scheme.offchip.tau_high = 4"), std::string::npos)
         << key;
     EXPECT_NE(key.find("scheme.offchip.tau_low = "), std::string::npos)
@@ -288,6 +287,14 @@ TEST(KnobSchema, EffectiveConfigIsIdempotentForEveryPreset)
         SystemConfig rebuilt
             = SystemConfig::fromConfig(Config::parse(eff.serialize(), name));
         EXPECT_EQ(rebuilt.effectiveConfig(), eff) << name;
+
+        // The --print-config dump reproduces itself byte for byte.
+        std::string dump = cfg.dumpConfig().serialize();
+        EXPECT_EQ(SystemConfig::fromConfig(Config::parse(dump, name))
+                      .dumpConfig()
+                      .serialize(),
+                  dump)
+            << name;
     }
 }
 

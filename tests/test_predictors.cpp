@@ -206,17 +206,6 @@ trainPattern(OffChipPredictor &p, int rounds, Addr ip_off, Addr ip_on)
 
 } // namespace
 
-TEST(OffChip, NonePolicyNeverPredicts)
-{
-    StatGroup stats("t");
-    OffChipPredictor::Params p;
-    p.policy = OffchipPolicy::None;
-    OffChipPredictor pred(p, &stats);
-    auto d = pred.predictLoad(0x400100, 0x100000000);
-    EXPECT_FALSE(d.predicted_offchip);
-    EXPECT_FALSE(d.meta.valid);
-}
-
 TEST(OffChip, LearnsPcCorrelation)
 {
     StatGroup stats("t");

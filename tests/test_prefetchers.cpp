@@ -303,23 +303,3 @@ TEST(Spp, LearnsFromPrefetchTypeAccesses)
     }
     EXPECT_FALSE(out.empty());
 }
-
-TEST(Factory, CreatesRequestedKinds)
-{
-    EXPECT_EQ(makeL1Prefetcher(L1Prefetcher::None), nullptr);
-    EXPECT_STREQ(makeL1Prefetcher(L1Prefetcher::Ipcp)->name(), "ipcp");
-    EXPECT_STREQ(makeL1Prefetcher(L1Prefetcher::Berti)->name(), "berti");
-    EXPECT_STREQ(makeL1Prefetcher(L1Prefetcher::NextLine)->name(),
-                 "next_line");
-    EXPECT_EQ(makeL2Prefetcher(L2Prefetcher::None), nullptr);
-    EXPECT_STREQ(makeL2Prefetcher(L2Prefetcher::Spp)->name(), "spp");
-    EXPECT_STREQ(makeL2Prefetcher(L2Prefetcher::SppAggressive)->name(),
-                 "spp");
-}
-
-TEST(Factory, NamesForReporting)
-{
-    EXPECT_STREQ(toString(L1Prefetcher::Ipcp), "ipcp");
-    EXPECT_STREQ(toString(L1Prefetcher::Berti), "berti");
-    EXPECT_STREQ(toString(L2Prefetcher::SppAggressive), "spp_aggressive");
-}

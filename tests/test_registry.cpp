@@ -1,9 +1,9 @@
 /**
  * The component registry: listings, error messages, out-of-tree
- * registration, and the equivalence guarantee — every deprecated enum
- * shim constructs a component that behaves identically (same name(),
- * same candidates/decisions, same stats after a fixed trigger sequence)
- * to its registry-built counterpart.
+ * registration, and the equivalence guarantee — every registry-built
+ * filter and off-chip predictor behaves identically (same name(), same
+ * decisions, same stats after a fixed trigger sequence) to one
+ * constructed directly from its Params.
  */
 
 #include <gtest/gtest.h>
@@ -50,33 +50,6 @@ triggerSequence()
         seq.push_back(t);
     }
     return seq;
-}
-
-/** Drive both prefetchers through the same sequence; candidates must be
- *  identical call by call. */
-void
-expectSameCandidates(Prefetcher &a, Prefetcher &b)
-{
-    std::vector<PrefetchCandidate> ca;
-    std::vector<PrefetchCandidate> cb;
-    unsigned call = 0;
-    for (const PrefetchTrigger &t : triggerSequence()) {
-        ca.clear();
-        cb.clear();
-        a.onAccess(t, ca);
-        b.onAccess(t, cb);
-        ASSERT_EQ(ca.size(), cb.size()) << "call " << call;
-        for (std::size_t i = 0; i < ca.size(); ++i) {
-            EXPECT_EQ(ca[i].addr, cb[i].addr) << "call " << call;
-            EXPECT_EQ(ca[i].fill_level, cb[i].fill_level) << "call " << call;
-            EXPECT_EQ(ca[i].metadata, cb[i].metadata) << "call " << call;
-        }
-        if (!t.cache_hit) {
-            a.onFill(t.vaddr, t.ip, MemLevel::Dram, 120);
-            b.onFill(t.vaddr, t.ip, MemLevel::Dram, 120);
-        }
-        ++call;
-    }
 }
 
 } // namespace
@@ -148,53 +121,7 @@ TEST(Registry, BuilderConfigOverridesParams)
     EXPECT_GT(pf->storage().totalBits(), base->storage().totalBits());
 }
 
-// --- enum shim == registry equivalence --------------------------------------
-
-TEST(RegistryEquivalence, L1PrefetcherShims)
-{
-    for (L1Prefetcher kind : {L1Prefetcher::NextLine, L1Prefetcher::Ipcp,
-                              L1Prefetcher::Berti}) {
-        for (unsigned scale : {0u, 2u}) {
-            auto shim = makeL1Prefetcher(kind, scale);
-            Config cfg;
-            // Only prefetchers that declare the knob take it (next_line
-            // has no tables to scale); the shim filters identically.
-            const KnobSchema *ks
-                = prefetcherRegistry().knobs(toString(kind));
-            ASSERT_NE(ks, nullptr) << toString(kind);
-            if (ks->contains("table_scale_shift"))
-                cfg.set("table_scale_shift", scale);
-            auto reg = prefetcherRegistry().build(toString(kind), cfg);
-            ASSERT_NE(shim, nullptr);
-            ASSERT_NE(reg, nullptr);
-            EXPECT_STREQ(shim->name(), reg->name());
-            EXPECT_EQ(shim->storage().totalBits(),
-                      reg->storage().totalBits())
-                << toString(kind) << " scale " << scale;
-            expectSameCandidates(*shim, *reg);
-        }
-    }
-    EXPECT_EQ(makeL1Prefetcher(L1Prefetcher::None), nullptr);
-}
-
-TEST(RegistryEquivalence, L2PrefetcherShims)
-{
-    {
-        auto shim = makeL2Prefetcher(L2Prefetcher::Spp);
-        auto reg = prefetcherRegistry().build("spp", Config{});
-        EXPECT_STREQ(shim->name(), reg->name());
-        EXPECT_EQ(shim->storage().totalBits(), reg->storage().totalBits());
-        expectSameCandidates(*shim, *reg);
-    }
-    {
-        auto shim = makeL2Prefetcher(L2Prefetcher::SppAggressive);
-        Config cfg;
-        cfg.set("aggressive", true);
-        auto reg = prefetcherRegistry().build("spp", cfg);
-        expectSameCandidates(*shim, *reg);
-    }
-    EXPECT_EQ(makeL2Prefetcher(L2Prefetcher::None), nullptr);
-}
+// --- direct == registry equivalence -----------------------------------------
 
 TEST(RegistryEquivalence, PpfFilter)
 {

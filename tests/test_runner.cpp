@@ -21,7 +21,7 @@ namespace
 {
 
 SystemConfig
-tinyConfig(const SchemeConfig &scheme = SchemeConfig::baseline())
+tinyConfig(const SchemeConfig &scheme = SchemeConfig::fromName("baseline"))
 {
     SystemConfig cfg = SystemConfig::cascadeLake(1);
     cfg.warmup_instrs = 5'000;
@@ -103,7 +103,7 @@ TEST(Runner, JobsFromEnv)
 TEST(Runner, ConfigKeyDistinguishesDesignPoints)
 {
     SystemConfig a = tinyConfig();
-    SystemConfig b = tinyConfig(SchemeConfig::tlp());
+    SystemConfig b = tinyConfig(SchemeConfig::fromName("tlp"));
     SystemConfig c = tinyConfig();
     c.sim_instrs += 1;
     EXPECT_NE(configKey(a), configKey(b));
@@ -123,7 +123,7 @@ TEST(Runner, GridDeterministicAcrossWorkerCounts)
     ASSERT_GE(ws.size(), 4u);
     ws.resize(4);
     std::vector<SystemConfig> grid{tinyConfig(),
-                                   tinyConfig(SchemeConfig::tlp())};
+                                   tinyConfig(SchemeConfig::fromName("tlp"))};
 
     auto run_grid = [&](unsigned jobs) {
         Runner r(jobs);
@@ -167,7 +167,7 @@ TEST(Runner, MixSchemeGridDeterministicAcrossWorkerCounts)
 
     std::vector<SystemConfig> grid;
     for (const SchemeConfig &s :
-         {SchemeConfig::baseline(), SchemeConfig::tlp()}) {
+         {SchemeConfig::fromName("baseline"), SchemeConfig::fromName("tlp")}) {
         SystemConfig cfg = SystemConfig::cascadeLake(2);
         cfg.warmup_instrs = 2'000;
         cfg.sim_instrs = 8'000;

@@ -77,7 +77,7 @@ TEST(Simulator, PointerChaseIsDramBound)
 TEST(Simulator, HermesIssuesSpeculativeRequests)
 {
     SystemConfig cfg = tinyConfig();
-    cfg.scheme = SchemeConfig::hermes();
+    cfg.scheme = SchemeConfig::fromName("hermes");
     SimResult r = runSingleCore(tinyWorkload("mcf_pchase"), cfg);
     EXPECT_GT(r.stat("dram.spec_issued"), 1000u);
     // On a pure pointer chase nearly every prediction is correct, so
@@ -91,7 +91,7 @@ TEST(Simulator, HermesSpeedsUpPointerChase)
 {
     SystemConfig cfg = tinyConfig();
     SimResult base = runSingleCore(tinyWorkload("mcf_pchase"), cfg);
-    cfg.scheme = SchemeConfig::hermes();
+    cfg.scheme = SchemeConfig::fromName("hermes");
     SimResult hermes = runSingleCore(tinyWorkload("mcf_pchase"), cfg);
     EXPECT_GT(hermes.ipc[0], base.ipc[0]);
 }
@@ -102,7 +102,7 @@ TEST(Simulator, TlpReducesDramTransactionsOnChase)
     // irregular workloads by filtering useless L1D prefetches.
     SystemConfig cfg = tinyConfig();
     SimResult base = runSingleCore(tinyWorkload("mcf_pchase"), cfg);
-    cfg.scheme = SchemeConfig::tlp();
+    cfg.scheme = SchemeConfig::fromName("tlp");
     SimResult tlp = runSingleCore(tinyWorkload("mcf_pchase"), cfg);
     EXPECT_LT(tlp.dramTransactions(), base.dramTransactions());
     EXPECT_GT(tlp.ipc[0], base.ipc[0] * 0.95);
@@ -111,7 +111,7 @@ TEST(Simulator, TlpReducesDramTransactionsOnChase)
 TEST(Simulator, TlpDropsPrefetchesViaSlp)
 {
     SystemConfig cfg = tinyConfig();
-    cfg.scheme = SchemeConfig::tlp();
+    cfg.scheme = SchemeConfig::fromName("tlp");
     SimResult r = runSingleCore(tinyWorkload("mcf_pchase"), cfg);
     EXPECT_GT(r.stat("cpu0.slp.dropped"), 100u);
     EXPECT_GT(r.stat("cpu0.l1d.pf_filtered"), 100u);
@@ -133,7 +133,7 @@ TEST(Simulator, SchemesAreConfigsNotForks)
 TEST(Simulator, OracleCountsSpecBlockLocation)
 {
     SystemConfig cfg = tinyConfig();
-    cfg.scheme = SchemeConfig::hermes();
+    cfg.scheme = SchemeConfig::fromName("hermes");
     SimResult r = runSingleCore(tinyWorkload("mcf_pchase"), cfg);
     std::uint64_t total = r.stat("oracle.spec_block_in_l1d")
         + r.stat("oracle.spec_block_in_l2c")
@@ -382,7 +382,7 @@ TEST(Simulator, IdleSkipOnVsOffBitIdentical)
     Trace trace
         = workloads::buildTrace(tinyWorkload("mcf_pchase"), 80'000, 1);
     for (const SchemeConfig &s :
-         {SchemeConfig::baseline(), SchemeConfig::tlp()}) {
+         {SchemeConfig::fromName("baseline"), SchemeConfig::fromName("tlp")}) {
         SystemConfig on = tinyConfig();
         on.scheme = s;
         SystemConfig off = on;
@@ -423,7 +423,7 @@ TEST(Simulator, IdleSkipBitIdenticalOnMultiCoreMix)
 
     SystemConfig on = tinyConfig(2);
     on.sim_instrs = 30'000;
-    on.scheme = SchemeConfig::tlp();
+    on.scheme = SchemeConfig::fromName("tlp");
     SystemConfig off = on;
     off.idle_skip = false;
 

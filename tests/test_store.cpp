@@ -306,7 +306,7 @@ namespace
 {
 
 SystemConfig
-tinyConfig(const SchemeConfig &scheme = SchemeConfig::baseline())
+tinyConfig(const SchemeConfig &scheme = SchemeConfig::fromName("baseline"))
 {
     SystemConfig cfg = SystemConfig::cascadeLake(1);
     cfg.warmup_instrs = 5'000;
@@ -323,7 +323,7 @@ TEST(RunnerStore, WarmStoreServesGridBitIdenticalWithoutSimulating)
     ASSERT_GE(ws.size(), 2u);
     ws.resize(2);
     std::vector<SystemConfig> grid{tinyConfig(),
-                                   tinyConfig(SchemeConfig::tlp())};
+                                   tinyConfig(SchemeConfig::fromName("tlp"))};
     std::string dir = freshDir("runner_grid");
 
     auto run_grid = [&](StorePolicy policy) {

@@ -22,10 +22,9 @@ tells new backends to follow — a backend the checker cannot parse is
 itself a finding, so the idiom stays uniform.
 
 It also validates the shipped presets (configs/*.conf): component
-slots must name registered components, subtree knob keys
+slots must name registered components, and subtree knob keys
 (`scheme.offchip.<k>`, ...) must be declared by the named component's
-schema, and `scheme.offchip_policy` values must be among the declared
-choices.
+schema.
 """
 
 import re
@@ -106,7 +105,7 @@ def _function_body(code, fn_name):
 
 def _schema_entries(body, body_offset, code):
     """Parse `{"knob", default, "desc"(, {choices})}` entries out of a
-    KnobSchema body. Returns [(knob, default_expr, choices, line)]."""
+    KnobSchema body. Returns [(knob, default_expr, line)]."""
     entries = []
     i = 0
     while True:
@@ -123,12 +122,7 @@ def _schema_entries(body, body_offset, code):
             continue
         knob = parts[0].strip().strip('"').strip()
         default_expr = parts[1].strip()
-        choices = []
-        for extra in parts[2:]:
-            if extra.startswith("{"):
-                choices = [c.strip().strip('"')
-                           for c in _split_top_level(extra[1:-1])]
-        entries.append((knob, default_expr, choices,
+        entries.append((knob, default_expr,
                         _line_of(code, body_offset + k.start())))
     return entries
 
@@ -267,7 +261,7 @@ def _audit_component(comp, files, report):
         knob_to_field[fm.group(2)] = fm.group(1)
 
     knob_names = set()
-    for knob, default_expr, choices, line in entries:
+    for knob, default_expr, line in entries:
         knob_names.add(knob)
         ref = DEFAULT_FIELD_REF_RE.search(default_expr)
         if ref:
@@ -319,7 +313,7 @@ def _audit_component(comp, files, report):
 
     if fields is not None:
         covered = set(knob_to_field.values())
-        for _, default_expr, _, _ in entries:
+        for _, default_expr, _ in entries:
             ref = DEFAULT_FIELD_REF_RE.search(default_expr)
             if ref:
                 covered.add(ref.group(1))
@@ -335,7 +329,6 @@ def _audit_component(comp, files, report):
         "name": comp["name"],
         "kind": comp["kind"],
         "knobs": sorted(knob_names),
-        "choices": {e[0]: e[2] for e in entries if e[2]},
         "params": params_cls,
     }
 
@@ -367,7 +360,7 @@ def _audit_presets(project, components, report):
             if "=" not in line:
                 continue
             key, value = (s.strip() for s in line.split("=", 1))
-            keyvals.append((key, value, lineno))
+            keyvals.append((key, lineno))
             if key in SLOT_KINDS:
                 slot_values[key] = (value, lineno)
 
@@ -384,7 +377,7 @@ def _audit_presets(project, components, report):
                     f"preset names unregistered {kind} '{value}' for "
                     f"{key}; registered: {', '.join(known)}"))
 
-        for key, value, lineno in keyvals:
+        for key, lineno in keyvals:
             for slot, kind in SLOT_KINDS.items():
                 if not key.startswith(slot + "."):
                     continue
@@ -402,16 +395,6 @@ def _audit_presets(project, components, report):
                         f"preset key {key}: '{knob}' is not a declared "
                         f"knob of {kind} '{name}' "
                         f"(declared: {', '.join(comp['knobs'])})"))
-            if key == "scheme.offchip_policy":
-                name = slot_values.get("scheme.offchip", ("", 0))[0]
-                comp = by_name.get(("offchip", name))
-                choices = (comp or {}).get("choices", {}).get("policy")
-                if choices and value not in choices:
-                    report.add(Finding(
-                        CHECK, rel, lineno,
-                        f"preset sets scheme.offchip_policy={value}, "
-                        f"not among the declared choices "
-                        f"{{{', '.join(choices)}}}"))
     return [project.rel(p) for p in presets]
 
 
