@@ -82,8 +82,10 @@ modes (default: run the configured workloads/mixes once):
   --list-schemes    list scheme preset names and exit
   --list-components list registry component names and exit
   --knobs [NAME]    print the declared knob reference (every component's
-                    tuning keys with type, default, description; NAME
-                    filters to one component) and exit
+                    tuning keys, then the machine's core, cache, TLB and
+                    DRAM keys at their Table III values, with type,
+                    default, description; NAME filters to one component)
+                    and exit
 
 persistent sweeps (README "Persistent sweeps"):
   --store DIR       crash-safe on-disk result store: every completed
@@ -521,7 +523,10 @@ run(const Options &o)
         return 0;
     }
     if (o.knobs) {
-        std::fputs(knobReference(o.knobs_component).c_str(), stdout);
+        std::string ref = knobReference(o.knobs_component);
+        if (o.knobs_component.empty())
+            ref += "\n" + SystemConfig::machineKnobReference();
+        std::fputs(ref.c_str(), stdout);
         return 0;
     }
 

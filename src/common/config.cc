@@ -5,7 +5,6 @@
 #include <charconv>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
 namespace tlpsim
@@ -164,109 +163,129 @@ Config::unconsumedKeys() const
     return out;
 }
 
-std::string
-Config::getString(const std::string &key, const std::string &fallback) const
+const std::string *
+Config::lookup(const std::string &key) const
 {
     auto it = values_.find(key);
     if (it == values_.end())
-        return fallback;
+        return nullptr;
     consumed_.insert(key);
-    return it->second;
+    return &it->second;
 }
+
+std::string
+Config::getString(const std::string &key, const std::string &fallback) const
+{
+    const std::string *v = lookup(key);
+    return v == nullptr ? fallback : *v;
+}
+
+namespace
+{
+
+/** @p value (nullptr when absent: @p fallback) as a whole-string integer
+ *  in [@p lo, @p hi]; otherwise throws naming @p key and the range. */
+std::int64_t
+parseSigned(const std::string &key, const std::string *value,
+            std::int64_t fallback, std::int64_t lo, std::int64_t hi,
+            const char *expected)
+{
+    if (value == nullptr)
+        return fallback;
+    char *end = nullptr;
+    errno = 0;
+    long long v = std::strtoll(value->c_str(), &end, 0);
+    if (end == value->c_str() || *end != '\0' || errno == ERANGE || v < lo
+        || v > hi) {
+        badValue(key, *value, expected);
+    }
+    return v;
+}
+
+/** parseSigned() for non-negative integers up to @p hi. */
+std::uint64_t
+parseUnsigned(const std::string &key, const std::string *value,
+              std::uint64_t fallback, std::uint64_t hi,
+              const char *expected)
+{
+    if (value == nullptr)
+        return fallback;
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(value->c_str(), &end, 0);
+    if (end == value->c_str() || *end != '\0' || errno == ERANGE
+        || value->front() == '-' || v > hi) {
+        badValue(key, *value, expected);
+    }
+    return v;
+}
+
+} // namespace
 
 std::int64_t
 Config::getInt(const std::string &key, std::int64_t fallback) const
 {
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return fallback;
-    consumed_.insert(key);
-    const char *s = it->second.c_str();
-    char *end = nullptr;
-    errno = 0;
-    long long v = std::strtoll(s, &end, 0);
-    if (end == s || *end != '\0' || errno == ERANGE)
-        badValue(key, it->second, "a 64-bit integer");
-    return v;
+    return parseSigned(key, lookup(key), fallback, INT64_MIN, INT64_MAX,
+                       "a 64-bit integer");
 }
 
 std::uint64_t
 Config::getUnsigned(const std::string &key, std::uint64_t fallback) const
 {
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return fallback;
-    consumed_.insert(key);
-    const char *s = it->second.c_str();
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(s, &end, 0);
-    if (end == s || *end != '\0' || errno == ERANGE
-        || it->second.front() == '-') {
-        badValue(key, it->second, "a 64-bit non-negative integer");
-    }
-    return v;
+    return parseUnsigned(key, lookup(key), fallback, UINT64_MAX,
+                         "a 64-bit non-negative integer");
 }
 
 std::int32_t
 Config::getInt32(const std::string &key, std::int32_t fallback) const
 {
-    std::int64_t v = getInt(key, fallback);
-    if (v < std::numeric_limits<std::int32_t>::min()
-        || v > std::numeric_limits<std::int32_t>::max()) {
-        badValue(key, getString(key), "a 32-bit integer");
-    }
-    return static_cast<std::int32_t>(v);
+    return static_cast<std::int32_t>(parseSigned(
+        key, lookup(key), fallback, INT32_MIN, INT32_MAX,
+        "a 32-bit integer"));
 }
 
 std::uint32_t
 Config::getUnsigned32(const std::string &key, std::uint32_t fallback) const
 {
-    std::uint64_t v = getUnsigned(key, fallback);
-    if (v > std::numeric_limits<std::uint32_t>::max())
-        badValue(key, getString(key), "a 32-bit non-negative integer");
-    return static_cast<std::uint32_t>(v);
+    return static_cast<std::uint32_t>(
+        parseUnsigned(key, lookup(key), fallback, UINT32_MAX,
+                      "a 32-bit non-negative integer"));
 }
 
 double
 Config::getDouble(const std::string &key, double fallback) const
 {
-    auto it = values_.find(key);
-    if (it == values_.end())
+    const std::string *v = lookup(key);
+    if (v == nullptr)
         return fallback;
-    consumed_.insert(key);
-    const char *s = it->second.c_str();
     char *end = nullptr;
     errno = 0;
-    double v = std::strtod(s, &end);
-    if (end == s || *end != '\0' || errno == ERANGE)
-        badValue(key, it->second, "a number");
-    return v;
+    double out = std::strtod(v->c_str(), &end);
+    if (end == v->c_str() || *end != '\0' || errno == ERANGE)
+        badValue(key, *v, "a number");
+    return out;
 }
 
 bool
 Config::getBool(const std::string &key, bool fallback) const
 {
-    auto it = values_.find(key);
-    if (it == values_.end())
+    const std::string *v = lookup(key);
+    if (v == nullptr)
         return fallback;
-    consumed_.insert(key);
-    const std::string &v = it->second;
-    if (v == "true" || v == "1" || v == "yes" || v == "on")
+    if (*v == "true" || *v == "1" || *v == "yes" || *v == "on")
         return true;
-    if (v == "false" || v == "0" || v == "no" || v == "off")
+    if (*v == "false" || *v == "0" || *v == "no" || *v == "off")
         return false;
-    badValue(key, v, "a boolean (true/false/1/0/yes/no/on/off)");
+    badValue(key, *v, "a boolean (true/false/1/0/yes/no/on/off)");
 }
 
 std::vector<std::string>
 Config::getStringList(const std::string &key,
                       const std::vector<std::string> &fallback) const
 {
-    auto it = values_.find(key);
-    if (it == values_.end())
+    const std::string *v = lookup(key);
+    if (v == nullptr)
         return fallback;
-    consumed_.insert(key);
     std::vector<std::string> out;
     std::string item;
     auto flush = [&] {
@@ -275,7 +294,7 @@ Config::getStringList(const std::string &key,
             item.clear();
         }
     };
-    for (char ch : it->second) {
+    for (char ch : *v) {
         if (ch == ',' || ch == '+'
             || std::isspace(static_cast<unsigned char>(ch))) {
             flush();

@@ -106,8 +106,8 @@ class Config
     std::int64_t getInt(const std::string &key, std::int64_t fallback) const;
     std::uint64_t getUnsigned(const std::string &key,
                               std::uint64_t fallback) const;
-    /** 32-bit variants: additionally throw ConfigError when the value is
-     *  well-formed but out of range (no silent truncation). */
+    /** 32-bit variants: a malformed or out-of-range value throws
+     *  ConfigError naming the 32-bit range (no silent truncation). */
     std::int32_t getInt32(const std::string &key,
                           std::int32_t fallback) const;
     std::uint32_t getUnsigned32(const std::string &key,
@@ -159,6 +159,8 @@ class Config
     }
 
   private:
+    /** @p key's value, marked consumed; nullptr when absent. */
+    const std::string *lookup(const std::string &key) const;
     void setInt(const std::string &key, std::int64_t value);
     void setUnsignedInt(const std::string &key, std::uint64_t value);
 

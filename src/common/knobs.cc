@@ -1,7 +1,6 @@
 #include "common/knobs.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 
 namespace tlpsim
@@ -20,47 +19,14 @@ toString(KnobType t)
     return "?";
 }
 
-KnobSpec::KnobSpec(std::string n, const char *def, std::string desc,
-                   std::vector<std::string> choice_list)
-    : name(std::move(n)), type(KnobType::String), default_value(def),
-      description(std::move(desc)), choices(std::move(choice_list))
+void
+KnobSchema::declare(KnobSpec spec)
 {
-}
-
-KnobSpec::KnobSpec(std::string n, std::string def, std::string desc,
-                   std::vector<std::string> choice_list)
-    : name(std::move(n)), type(KnobType::String),
-      default_value(std::move(def)), description(std::move(desc)),
-      choices(std::move(choice_list))
-{
-}
-
-KnobSpec::KnobSpec(std::string n, bool def, std::string desc)
-    : name(std::move(n)), type(KnobType::Bool),
-      default_value(def ? "true" : "false"), description(std::move(desc))
-{
-}
-
-KnobSpec::KnobSpec(std::string n, double def, std::string desc)
-    : name(std::move(n)), type(KnobType::Double),
-      description(std::move(desc))
-{
-    // Same shortest-round-trip rendering as Config::set(double), so the
-    // schema default and a toConfig dump of it are byte-identical.
-    char buf[64];
-    auto res = std::to_chars(buf, buf + sizeof(buf), def);
-    default_value.assign(buf, res.ptr);
-}
-
-KnobSchema::KnobSchema(std::initializer_list<KnobSpec> specs)
-    : specs_(specs)
-{
-    for (const KnobSpec &s : specs_) {
-        if (find(s.name) != &s) {
-            throw ConfigError("knob '" + s.name
-                              + "' is declared twice in one schema");
-        }
+    if (contains(spec.name)) {
+        throw ConfigError("knob '" + spec.name
+                          + "' is declared twice in one schema");
     }
+    specs_.push_back(std::move(spec));
 }
 
 bool
@@ -195,122 +161,34 @@ KnobSchema::validate(const Config &cfg, const std::string &component,
 }
 
 std::string
-KnobSchema::reference(const std::string &indent) const
+KnobSchema::reference(const Config &values) const
 {
     std::string out;
     char buf[512];
     for (const KnobSpec &s : specs_) {
-        std::snprintf(buf, sizeof(buf), "%s%-24s %-9s %-10s %s\n",
-                      indent.c_str(), s.name.c_str(), toString(s.type),
-                      s.default_value.c_str(), s.description.c_str());
+        std::snprintf(buf, sizeof(buf), "  %-24s %-9s %-10s %s\n",
+                      s.name.c_str(), toString(s.type),
+                      values.getString(s.name).c_str(),
+                      s.description.c_str());
         out += buf;
     }
     return out;
 }
 
-// ------------------------------------------------------------------ Knobs
-
-Knobs::Knobs(const Config &cfg, const KnobSchema &schema,
-             std::string component)
-    : cfg_(cfg), schema_(schema), component_(std::move(component))
+std::size_t
+detail::choiceIndex(const Config &cfg, const std::string &key,
+                    const std::vector<std::string> &choices,
+                    std::size_t current)
 {
-}
-
-const KnobSpec &
-Knobs::expect(const std::string &key, KnobType t, unsigned bits) const
-{
-    const KnobSpec *spec = schema_.find(key);
-    if (spec == nullptr) {
-        throw ConfigError(component_ + " builder reads knob '" + key
-                          + "' its schema never declared; declared knobs: "
-                          + schema_.namesLine());
+    if (!cfg.has(key))
+        return current;
+    const std::string value = cfg.getString(key);
+    auto it = std::find(choices.begin(), choices.end(), value);
+    if (it == choices.end()) {
+        throw ConfigError("config key '" + key + "': expected one of "
+                          + joinNames(choices) + ", got '" + value + "'");
     }
-    // Unsigned extraction of an Int knob (or a 32-bit read of a 64-bit
-    // declaration) would let the declared range disagree with the
-    // accepted range — the up-front check would pass values that later
-    // fail extraction.
-    if (spec->type != t || (bits != 0 && spec->bits != bits)) {
-        auto describe = [](KnobType type, unsigned width) {
-            std::string out = toString(type);
-            if (width != 0
-                && (type == KnobType::Int || type == KnobType::Unsigned)) {
-                // Appended piecewise: `"(" + std::to_string(w) + ")"`
-                // trips GCC 12's -Wrestrict false positive (PR 105329)
-                // under -O2.
-                out += '(';
-                out += std::to_string(width);
-                out += ')';
-            }
-            return out;
-        };
-        throw ConfigError(component_ + " builder reads knob '" + key
-                          + "' as " + describe(t, bits)
-                          + " but it is declared "
-                          + describe(spec->type, spec->bits));
-    }
-    return *spec;
-}
-
-std::string
-Knobs::str(const std::string &key) const
-{
-    const KnobSpec &spec = expect(key, KnobType::String);
-    return cfg_.getString(key, spec.default_value);
-}
-
-std::int32_t
-Knobs::i32(const std::string &key) const
-{
-    const KnobSpec &spec = expect(key, KnobType::Int, 32);
-    if (cfg_.has(key))
-        return cfg_.getInt32(key, 0);
-    Config def;
-    def.set(key, spec.default_value);
-    return def.getInt32(key, 0);
-}
-
-std::uint32_t
-Knobs::u32(const std::string &key) const
-{
-    const KnobSpec &spec = expect(key, KnobType::Unsigned, 32);
-    if (cfg_.has(key))
-        return cfg_.getUnsigned32(key, 0);
-    Config def;
-    def.set(key, spec.default_value);
-    return def.getUnsigned32(key, 0);
-}
-
-std::uint64_t
-Knobs::u64(const std::string &key) const
-{
-    const KnobSpec &spec = expect(key, KnobType::Unsigned, 64);
-    if (cfg_.has(key))
-        return cfg_.getUnsigned(key, 0);
-    Config def;
-    def.set(key, spec.default_value);
-    return def.getUnsigned(key, 0);
-}
-
-double
-Knobs::num(const std::string &key) const
-{
-    const KnobSpec &spec = expect(key, KnobType::Double);
-    if (cfg_.has(key))
-        return cfg_.getDouble(key, 0.0);
-    Config def;
-    def.set(key, spec.default_value);
-    return def.getDouble(key, 0.0);
-}
-
-bool
-Knobs::flag(const std::string &key) const
-{
-    const KnobSpec &spec = expect(key, KnobType::Bool);
-    if (cfg_.has(key))
-        return cfg_.getBool(key, false);
-    Config def;
-    def.set(key, spec.default_value);
-    return def.getBool(key, false);
+    return static_cast<std::size_t>(it - choices.begin());
 }
 
 } // namespace tlpsim

@@ -9,17 +9,20 @@
  * one Registry::add call in the component's own translation unit, not a
  * core-header edit — and configs select them by name.
  *
- * A registration carries a KnobSchema (common/knobs.hh) declaring every
- * tuning knob the builder consumes: build() validates its Config against
- * the schema, so a misspelled or wrongly-typed key in a forwarded
- * subtree (scheme.offchip.*, l1d.prefetcher.*, ...) throws a ConfigError
- * naming the key and the component's declared knobs instead of being
- * silently ignored. The schema is also the component's documentation —
- * `tlpsim --knobs` renders it — which makes the registry a
- * self-describing API: a new backend documents its knob set to join.
- * The schema-less add() overload survives for out-of-tree components
- * that have not declared knobs yet; their configs pass through
- * unvalidated and --knobs marks them as undeclared.
+ * A registration carries the component's KnobSchema (common/knobs.hh),
+ * whose entries are bound to the fields of its Params struct: build()
+ * validates the Config against it, so a misspelled or wrongly-typed key
+ * in a forwarded subtree (scheme.offchip.*, l1d.prefetcher.*, ...)
+ * throws a ConfigError naming the key and the component's declared
+ * knobs instead of being silently ignored, and the builder fills its
+ * Params with one schema.parse(cfg). The schema is also the component's
+ * documentation — `tlpsim --knobs` renders it — which makes the registry
+ * a self-describing API: a new backend joins with one call,
+ *
+ *   PrefetcherRegistry::instance().add("mine", schema,
+ *       [](const Config &cfg) {
+ *           return std::make_unique<Mine>(schema.parse(cfg));
+ *       });
  *
  * Lookup failures throw ConfigError listing every registered name, so a
  * typo in a config file tells the user exactly what is available.
@@ -27,8 +30,7 @@
  * tlpsim links as a static archive, where a TU whose only contents are
  * registration statics would be dropped by the linker. The built-in
  * components therefore expose plain registration functions that
- * prefetch/factory.cc calls once (see prefetcherRegistry() and friends);
- * out-of-tree components linked as objects can use Registrar statics.
+ * prefetch/factory.cc calls once (see prefetcherRegistry() and friends).
  */
 
 #ifndef TLPSIM_COMMON_REGISTRY_HH
@@ -37,7 +39,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -72,15 +73,12 @@ class Registry
     void
     add(const std::string &name, KnobSchema schema, Builder builder)
     {
-        addEntry(name, Entry{std::move(builder), std::move(schema)});
-    }
-
-    /** Register @p builder without a schema (out-of-tree components that
-     *  have not declared knobs): configs pass through unvalidated. */
-    void
-    add(const std::string &name, Builder builder)
-    {
-        addEntry(name, Entry{std::move(builder), std::nullopt});
+        auto [it, inserted] = builders_.emplace(
+            name, Entry{std::move(builder), std::move(schema)});
+        if (!inserted) {
+            throw ConfigError(kind_ + " '" + name
+                              + "' is already registered");
+        }
     }
 
     bool contains(const std::string &name) const
@@ -88,13 +86,12 @@ class Registry
         return builders_.count(name) > 0;
     }
 
-    /** Declared knob schema of @p name, or nullptr when the component
-     *  registered without one. Throws ConfigError on unknown names. */
-    const KnobSchema *
+    /** Declared knob schema of @p name. Throws ConfigError on unknown
+     *  names. */
+    const KnobSchema &
     knobs(const std::string &name) const
     {
-        const Entry &e = entry(name);
-        return e.schema ? &*e.schema : nullptr;
+        return entry(name).schema;
     }
 
     /** Sorted names of every registered builder. */
@@ -112,15 +109,14 @@ class Registry
     std::string namesLine() const { return joinNames(names()); }
 
     /** Build the component registered as @p name. Throws ConfigError
-     *  naming every valid choice if @p name is unknown, and — when the
-     *  component declared a schema — naming the declared knobs if @p cfg
-     *  holds a key no schema entry consumes or a wrongly-typed value. */
+     *  naming every valid choice if @p name is unknown, and naming the
+     *  declared knobs if @p cfg holds a key no schema entry consumes or
+     *  a wrongly-typed value. */
     std::unique_ptr<T>
     build(const std::string &name, const Config &cfg, Extra... extra) const
     {
         const Entry &e = entry(name);
-        if (e.schema)
-            e.schema->validate(cfg, kind_ + " '" + name + "'");
+        e.schema.validate(cfg, kind_ + " '" + name + "'");
         return e.builder(cfg, extra...);
     }
 
@@ -128,20 +124,10 @@ class Registry
     struct Entry
     {
         Builder builder;
-        std::optional<KnobSchema> schema;
+        KnobSchema schema;
     };
 
     Registry() = default;
-
-    void
-    addEntry(const std::string &name, Entry e)
-    {
-        auto [it, inserted] = builders_.emplace(name, std::move(e));
-        if (!inserted) {
-            throw ConfigError(kind_ + " '" + name
-                              + "' is already registered");
-        }
-    }
 
     const Entry &
     entry(const std::string &name) const
@@ -156,26 +142,6 @@ class Registry
 
     std::string kind_ = "component";
     std::map<std::string, Entry> builders_;
-};
-
-/** Static-initialization helper for out-of-tree components:
- *  `static Registrar<Prefetcher> reg("mine", {...knobs...},
- *   [](const Config &c) {...});` */
-template <typename T, typename... Extra>
-struct Registrar
-{
-    Registrar(const std::string &name,
-              typename Registry<T, Extra...>::Builder builder)
-    {
-        Registry<T, Extra...>::instance().add(name, std::move(builder));
-    }
-
-    Registrar(const std::string &name, KnobSchema schema,
-              typename Registry<T, Extra...>::Builder builder)
-    {
-        Registry<T, Extra...>::instance().add(name, std::move(schema),
-                                              std::move(builder));
-    }
 };
 
 } // namespace tlpsim

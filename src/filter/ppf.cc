@@ -166,47 +166,26 @@ Ppf::storage() const
     return b;
 }
 
-namespace
-{
-
-const KnobSchema &
-ppfKnobs()
-{
-    static const KnobSchema schema = [] {
-        const Ppf::Params d;
-        return KnobSchema{
-            {"name", d.name, "stat-counter prefix (per-cpu by default)"},
-            {"tau_accept", d.tau_accept,
-             "perceptron sum >= this: prefetch fills L2"},
-            {"tau_reject", d.tau_reject,
-             "perceptron sum < this: prefetch dropped entirely"},
-            {"training_threshold", d.training_threshold,
-             "train while |sum| is below this magnitude"},
-            {"prefetch_table_entries", d.prefetch_table_entries,
-             "issued-prefetch recording table entries"},
-            {"reject_table_entries", d.reject_table_entries,
-             "rejected-prefetch recording table entries"},
-        };
-    }();
-    return schema;
-}
-
-} // namespace
-
 void
 detail::registerPpfFilter()
 {
+    using P = Ppf::Params;
+    static const ParamSchema<P> schema{
+        {"name", &P::name, "stat-counter prefix (per-cpu by default)"},
+        {"tau_accept", &P::tau_accept,
+         "perceptron sum >= this: prefetch fills L2"},
+        {"tau_reject", &P::tau_reject,
+         "perceptron sum < this: prefetch dropped entirely"},
+        {"training_threshold", &P::training_threshold,
+         "train while |sum| is below this magnitude"},
+        {"prefetch_table_entries", &P::prefetch_table_entries,
+         "issued-prefetch recording table entries"},
+        {"reject_table_entries", &P::reject_table_entries,
+         "rejected-prefetch recording table entries"},
+    };
     FilterRegistry::instance().add(
-        "ppf", ppfKnobs(), [](const Config &cfg, StatGroup *stats) {
-            Knobs k(cfg, ppfKnobs(), "prefetch filter 'ppf'");
-            Ppf::Params p;
-            p.name = k.str("name");
-            p.tau_accept = k.i32("tau_accept");
-            p.tau_reject = k.i32("tau_reject");
-            p.training_threshold = k.i32("training_threshold");
-            p.prefetch_table_entries = k.u32("prefetch_table_entries");
-            p.reject_table_entries = k.u32("reject_table_entries");
-            return std::make_unique<Ppf>(p, stats);
+        "ppf", schema, [](const Config &cfg, StatGroup *stats) {
+            return std::make_unique<Ppf>(schema.parse(cfg), stats);
         });
 }
 

@@ -6,31 +6,6 @@
 namespace tlpsim
 {
 
-const char *
-toString(OffchipPolicy p)
-{
-    switch (p) {
-      case OffchipPolicy::Immediate: return "immediate";
-      case OffchipPolicy::AlwaysDelay: return "always_delay";
-      case OffchipPolicy::Selective: return "selective";
-    }
-    return "?";
-}
-
-OffchipPolicy
-offchipPolicyFromString(const std::string &s)
-{
-    for (OffchipPolicy p :
-         {OffchipPolicy::Immediate, OffchipPolicy::AlwaysDelay,
-          OffchipPolicy::Selective}) {
-        if (s == toString(p))
-            return p;
-    }
-    throw ConfigError("unknown off-chip policy '" + s
-                      + "'; valid names: immediate, always_delay, "
-                        "selective");
-}
-
 OffChipPredictor::OffChipPredictor(const Params &p, StatGroup *stats)
     : params_(p), features_(legacyHermesFeatures()),
       perceptron_(p.name, featureTables(features_, p.table_scale_shift),
@@ -121,82 +96,47 @@ OffChipPredictor::storage() const
     return b;
 }
 
-namespace
-{
-
-/** Both off-chip predictors share one knob set; "flp" and "hermes"
- *  differ only in the declared defaults. */
-KnobSchema
-offchipKnobSchema(const OffChipPredictor::Params &d)
-{
-    return KnobSchema{
-        {"name", d.name, "stat-counter prefix (per-cpu by default)"},
-        {"policy", toString(d.policy),
-         "speculative-request policy: immediate, always_delay, selective",
-         {"immediate", "always_delay", "selective"}},
-        {"tau_high", d.tau_high,
-         "immediate-fire threshold (Hermes tau_act / FLP tau_high)"},
-        {"tau_low", d.tau_low,
-         "predicted-off-chip threshold (FLP tau_low)"},
-        {"training_threshold", d.training_threshold,
-         "train while |sum| is below this magnitude"},
-        {"table_scale_shift", d.table_scale_shift,
-         "left-shift on perceptron table sizes (Fig. 17 \"+7KB Hermes\")"},
-    };
-}
-
-const KnobSchema &
-flpKnobs()
-{
-    static const KnobSchema schema
-        = offchipKnobSchema(OffChipPredictor::Params{});
-    return schema;
-}
-
-const KnobSchema &
-hermesKnobs()
-{
-    static const KnobSchema schema = [] {
-        OffChipPredictor::Params d;
-        d.policy = OffchipPolicy::Immediate;
-        d.tau_high = 4;
-        return offchipKnobSchema(d);
-    }();
-    return schema;
-}
-
-OffChipPredictor::Params
-offchipParamsFromKnobs(const Knobs &k)
-{
-    OffChipPredictor::Params p;
-    p.name = k.str("name");
-    p.policy = offchipPolicyFromString(k.str("policy"));
-    p.tau_high = k.i32("tau_high");
-    p.tau_low = k.i32("tau_low");
-    p.training_threshold = k.i32("training_threshold");
-    p.table_scale_shift = k.u32("table_scale_shift");
-    return p;
-}
-
-} // namespace
-
 void
 detail::registerOffchipPredictors()
 {
+    using P = OffChipPredictor::Params;
+    // Both predictors share one knob set; "flp" and "hermes" differ only
+    // in the defaults object.
+    auto knobs = [](const P &defaults) {
+        return ParamSchema<P>(
+            {
+                {"name", &P::name,
+                 "stat-counter prefix (per-cpu by default)"},
+                {"policy", &P::policy,
+                 "speculative-request policy: immediate, always_delay, "
+                 "selective",
+                 {"immediate", "always_delay", "selective"}},
+                {"tau_high", &P::tau_high,
+                 "immediate-fire threshold (Hermes tau_act / FLP tau_high)"},
+                {"tau_low", &P::tau_low,
+                 "predicted-off-chip threshold (FLP tau_low)"},
+                {"training_threshold", &P::training_threshold,
+                 "train while |sum| is below this magnitude"},
+                {"table_scale_shift", &P::table_scale_shift,
+                 "left-shift on perceptron table sizes (Fig. 17 \"+7KB "
+                 "Hermes\")"},
+            },
+            defaults);
+    };
     // The paper's FLP: selective-delay defaults.
-    OffchipRegistry::instance().add(
-        "flp", flpKnobs(), [](const Config &cfg, StatGroup *stats) {
-            Knobs k(cfg, flpKnobs(), "off-chip predictor 'flp'");
-            return std::make_unique<OffChipPredictor>(
-                offchipParamsFromKnobs(k), stats);
-        });
+    static const ParamSchema<P> flp = knobs(P{});
     // Hermes (Bera et al., MICRO 2022): one aggressive activation
     // threshold, always-immediate speculative requests.
+    static const ParamSchema<P> hermes
+        = knobs(P{.policy = OffchipPolicy::Immediate, .tau_high = 4});
     OffchipRegistry::instance().add(
-        "hermes", hermesKnobs(), [](const Config &cfg, StatGroup *stats) {
-            Knobs k(cfg, hermesKnobs(), "off-chip predictor 'hermes'");
-            return std::make_unique<OffChipPredictor>(
-                offchipParamsFromKnobs(k), stats);
+        "flp", flp, [](const Config &cfg, StatGroup *stats) {
+            return std::make_unique<OffChipPredictor>(flp.parse(cfg), stats);
+        });
+    OffchipRegistry::instance().add(
+        "hermes", hermes, [](const Config &cfg, StatGroup *stats) {
+            return std::make_unique<OffChipPredictor>(hermes.parse(cfg),
+                                                      stats);
         });
 }
 

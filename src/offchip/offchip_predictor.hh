@@ -28,19 +28,15 @@
 namespace tlpsim
 {
 
-/** When a positive off-chip prediction fires the DRAM request. */
+/** When a positive off-chip prediction fires the DRAM request. The
+ *  "policy" knob names the enumerators in declaration order: immediate,
+ *  always_delay, selective. */
 enum class OffchipPolicy
 {
     Immediate,   ///< Hermes / "FLP w/o selective delay": fire at the core
     AlwaysDelay, ///< Fig. 15 "Delayed TSP": fire only on L1D miss
     Selective,   ///< the paper's FLP: τ_high fires now, [τ_low, τ_high) delays
 };
-
-const char *toString(OffchipPolicy p);
-
-/** Parse toString's names back ("immediate", "always_delay",
- *  "selective"); throws ConfigError listing the valid names. */
-OffchipPolicy offchipPolicyFromString(const std::string &s);
 
 class OffChipPredictor
 {

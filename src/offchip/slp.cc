@@ -89,48 +89,26 @@ Slp::storage() const
     return b;
 }
 
-namespace
-{
-
-const KnobSchema &
-slpKnobs()
-{
-    static const KnobSchema schema = [] {
-        const Slp::Params d;
-        return KnobSchema{
-            {"name", d.name, "stat-counter prefix (per-cpu by default)"},
-            {"tau_pref", d.tau_pref,
-             "drop threshold: sum >= tau_pref predicts off-chip"},
-            {"training_threshold", d.training_threshold,
-             "train while |sum| is below this magnitude"},
-            {"use_flp_feature", d.use_flp_feature,
-             "feed the FLP confidence output in as a feature"},
-            {"table_scale_shift", d.table_scale_shift,
-             "left-shift on perceptron table sizes"},
-            {"probation_period", d.probation_period,
-             "issue every Nth predicted-off-chip prefetch anyway (0 = "
-             "never)"},
-        };
-    }();
-    return schema;
-}
-
-} // namespace
-
 void
 detail::registerSlpFilter()
 {
+    using P = Slp::Params;
+    static const ParamSchema<P> schema{
+        {"name", &P::name, "stat-counter prefix (per-cpu by default)"},
+        {"tau_pref", &P::tau_pref,
+         "drop threshold: sum >= tau_pref predicts off-chip"},
+        {"training_threshold", &P::training_threshold,
+         "train while |sum| is below this magnitude"},
+        {"use_flp_feature", &P::use_flp_feature,
+         "feed the FLP confidence output in as a feature"},
+        {"table_scale_shift", &P::table_scale_shift,
+         "left-shift on perceptron table sizes"},
+        {"probation_period", &P::probation_period,
+         "issue every Nth predicted-off-chip prefetch anyway (0 = never)"},
+    };
     FilterRegistry::instance().add(
-        "slp", slpKnobs(), [](const Config &cfg, StatGroup *stats) {
-            Knobs k(cfg, slpKnobs(), "prefetch filter 'slp'");
-            Slp::Params p;
-            p.name = k.str("name");
-            p.tau_pref = k.i32("tau_pref");
-            p.training_threshold = k.i32("training_threshold");
-            p.use_flp_feature = k.flag("use_flp_feature");
-            p.table_scale_shift = k.u32("table_scale_shift");
-            p.probation_period = k.u32("probation_period");
-            return std::make_unique<Slp>(p, stats);
+        "slp", schema, [](const Config &cfg, StatGroup *stats) {
+            return std::make_unique<Slp>(schema.parse(cfg), stats);
         });
 }
 

@@ -148,48 +148,27 @@ BertiPrefetcher::storage() const
     return b;
 }
 
-namespace
-{
-
-const KnobSchema &
-bertiKnobs()
-{
-    static const KnobSchema schema = [] {
-        const BertiPrefetcher::Params d;
-        return KnobSchema{
-            {"table_entries", d.table_entries,
-             "per-IP delta-tracking table entries"},
-            {"history_per_ip", d.history_per_ip,
-             "access-history slots kept per IP"},
-            {"deltas_per_ip", d.deltas_per_ip,
-             "evaluated deltas tracked per IP"},
-            {"issue_confidence", d.issue_confidence,
-             "confidence (of 8) a delta needs before issuing"},
-            {"initial_window", d.initial_window,
-             "initial timeliness window (cycles); adapts to miss latency"},
-            {"table_scale_shift", d.table_scale_shift,
-             "left-shift on table sizes (Fig. 17 \"+7KB Berti\")"},
-        };
-    }();
-    return schema;
-}
-
-} // namespace
-
 void
 detail::registerBertiPrefetcher()
 {
+    using P = BertiPrefetcher::Params;
+    static const ParamSchema<P> schema{
+        {"table_entries", &P::table_entries,
+         "per-IP delta-tracking table entries"},
+        {"history_per_ip", &P::history_per_ip,
+         "access-history slots kept per IP"},
+        {"deltas_per_ip", &P::deltas_per_ip,
+         "evaluated deltas tracked per IP"},
+        {"issue_confidence", &P::issue_confidence,
+         "confidence (of 8) a delta needs before issuing"},
+        {"initial_window", &P::initial_window,
+         "initial timeliness window (cycles); adapts to miss latency"},
+        {"table_scale_shift", &P::table_scale_shift,
+         "left-shift on table sizes (Fig. 17 \"+7KB Berti\")"},
+    };
     PrefetcherRegistry::instance().add(
-        "berti", bertiKnobs(), [](const Config &cfg) {
-            Knobs k(cfg, bertiKnobs(), "prefetcher 'berti'");
-            BertiPrefetcher::Params p;
-            p.table_entries = k.u32("table_entries");
-            p.history_per_ip = k.u32("history_per_ip");
-            p.deltas_per_ip = k.u32("deltas_per_ip");
-            p.issue_confidence = k.u32("issue_confidence");
-            p.initial_window = k.u64("initial_window");
-            p.table_scale_shift = k.u32("table_scale_shift");
-            return std::make_unique<BertiPrefetcher>(p);
+        "berti", schema, [](const Config &cfg) {
+            return std::make_unique<BertiPrefetcher>(schema.parse(cfg));
         });
 }
 

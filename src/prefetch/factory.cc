@@ -63,10 +63,8 @@ knobReference(const std::string &component)
             if (!out.empty())
                 out += "\n";
             out += reg.kind() + " " + name + "\n";
-            if (const KnobSchema *ks = reg.knobs(name); ks != nullptr)
-                out += ks->reference();
-            else
-                out += "  (knobs not declared)\n";
+            const KnobSchema &ks = reg.knobs(name);
+            out += ks.reference(ks.defaults());
             found = true;
         }
     };

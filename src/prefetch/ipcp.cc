@@ -173,55 +173,29 @@ IpcpPrefetcher::storage() const
     return b;
 }
 
-namespace
-{
-
-const KnobSchema &
-ipcpKnobs()
-{
-    static const KnobSchema schema = [] {
-        const IpcpPrefetcher::Params d;
-        return KnobSchema{
-            {"ip_table_entries", d.ip_table_entries,
-             "IP classification table entries"},
-            {"cspt_entries", d.cspt_entries,
-             "complex-stride prediction table entries"},
-            {"region_entries", d.region_entries,
-             "tracked global-stream regions"},
-            {"region_lines", d.region_lines,
-             "lines in a tracked GS region"},
-            {"gs_dense_threshold", d.gs_dense_threshold,
-             "dense-region threshold for GS classification"},
-            {"cs_degree", d.cs_degree, "constant-stride prefetch degree"},
-            {"cplx_degree", d.cplx_degree,
-             "complex-stride prefetch degree"},
-            {"gs_degree", d.gs_degree, "global-stream prefetch degree"},
-            {"table_scale_shift", d.table_scale_shift,
-             "left-shift on table sizes (Fig. 17 \"+7KB IPCP\")"},
-        };
-    }();
-    return schema;
-}
-
-} // namespace
-
 void
 detail::registerIpcpPrefetcher()
 {
+    using P = IpcpPrefetcher::Params;
+    static const ParamSchema<P> schema{
+        {"ip_table_entries", &P::ip_table_entries,
+         "IP classification table entries"},
+        {"cspt_entries", &P::cspt_entries,
+         "complex-stride prediction table entries"},
+        {"region_entries", &P::region_entries,
+         "tracked global-stream regions"},
+        {"region_lines", &P::region_lines, "lines in a tracked GS region"},
+        {"gs_dense_threshold", &P::gs_dense_threshold,
+         "dense-region threshold for GS classification"},
+        {"cs_degree", &P::cs_degree, "constant-stride prefetch degree"},
+        {"cplx_degree", &P::cplx_degree, "complex-stride prefetch degree"},
+        {"gs_degree", &P::gs_degree, "global-stream prefetch degree"},
+        {"table_scale_shift", &P::table_scale_shift,
+         "left-shift on table sizes (Fig. 17 \"+7KB IPCP\")"},
+    };
     PrefetcherRegistry::instance().add(
-        "ipcp", ipcpKnobs(), [](const Config &cfg) {
-            Knobs k(cfg, ipcpKnobs(), "prefetcher 'ipcp'");
-            IpcpPrefetcher::Params p;
-            p.ip_table_entries = k.u32("ip_table_entries");
-            p.cspt_entries = k.u32("cspt_entries");
-            p.region_entries = k.u32("region_entries");
-            p.region_lines = k.u32("region_lines");
-            p.gs_dense_threshold = k.u32("gs_dense_threshold");
-            p.cs_degree = k.u32("cs_degree");
-            p.cplx_degree = k.u32("cplx_degree");
-            p.gs_degree = k.u32("gs_degree");
-            p.table_scale_shift = k.u32("table_scale_shift");
-            return std::make_unique<IpcpPrefetcher>(p);
+        "ipcp", schema, [](const Config &cfg) {
+            return std::make_unique<IpcpPrefetcher>(schema.parse(cfg));
         });
 }
 

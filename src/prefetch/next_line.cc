@@ -5,32 +5,16 @@
 namespace tlpsim
 {
 
-namespace
-{
-
-const KnobSchema &
-nextLineKnobs()
-{
-    static const KnobSchema schema = [] {
-        const NextLinePrefetcher::Params d;
-        return KnobSchema{
-            {"degree", d.degree, "lines prefetched ahead of each access"},
-        };
-    }();
-    return schema;
-}
-
-} // namespace
-
 void
 detail::registerNextLinePrefetcher()
 {
+    using P = NextLinePrefetcher::Params;
+    static const ParamSchema<P> schema{
+        {"degree", &P::degree, "lines prefetched ahead of each access"},
+    };
     PrefetcherRegistry::instance().add(
-        "next_line", nextLineKnobs(), [](const Config &cfg) {
-            Knobs k(cfg, nextLineKnobs(), "prefetcher 'next_line'");
-            NextLinePrefetcher::Params p;
-            p.degree = k.u32("degree");
-            return std::make_unique<NextLinePrefetcher>(p);
+        "next_line", schema, [](const Config &cfg) {
+            return std::make_unique<NextLinePrefetcher>(schema.parse(cfg));
         });
 }
 

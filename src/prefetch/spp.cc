@@ -140,51 +140,29 @@ SppPrefetcher::storage() const
     return b;
 }
 
-namespace
-{
-
-const KnobSchema &
-sppKnobs()
-{
-    static const KnobSchema schema = [] {
-        const SppPrefetcher::Params d;
-        return KnobSchema{
-            {"signature_table_entries", d.signature_table_entries,
-             "signature table entries"},
-            {"pattern_table_entries", d.pattern_table_entries,
-             "pattern table entries"},
-            {"deltas_per_pattern", d.deltas_per_pattern,
-             "delta slots per pattern entry"},
-            {"max_lookahead", d.max_lookahead,
-             "maximum lookahead depth per trigger"},
-            {"lookahead_cutoff", d.lookahead_cutoff,
-             "stop the lookahead below this path confidence (percent)"},
-            {"fill_threshold", d.fill_threshold,
-             "fill L2 at or above this confidence, else demote to LLC"},
-            {"aggressive", d.aggressive,
-             "PPF companion mode: prefetch more, let the filter prune"},
-        };
-    }();
-    return schema;
-}
-
-} // namespace
-
 void
 detail::registerSppPrefetcher()
 {
+    using P = SppPrefetcher::Params;
+    static const ParamSchema<P> schema{
+        {"signature_table_entries", &P::signature_table_entries,
+         "signature table entries"},
+        {"pattern_table_entries", &P::pattern_table_entries,
+         "pattern table entries"},
+        {"deltas_per_pattern", &P::deltas_per_pattern,
+         "delta slots per pattern entry"},
+        {"max_lookahead", &P::max_lookahead,
+         "maximum lookahead depth per trigger"},
+        {"lookahead_cutoff", &P::lookahead_cutoff,
+         "stop the lookahead below this path confidence (percent)"},
+        {"fill_threshold", &P::fill_threshold,
+         "fill L2 at or above this confidence, else demote to LLC"},
+        {"aggressive", &P::aggressive,
+         "PPF companion mode: prefetch more, let the filter prune"},
+    };
     PrefetcherRegistry::instance().add(
-        "spp", sppKnobs(), [](const Config &cfg) {
-            Knobs k(cfg, sppKnobs(), "prefetcher 'spp'");
-            SppPrefetcher::Params p;
-            p.signature_table_entries = k.u32("signature_table_entries");
-            p.pattern_table_entries = k.u32("pattern_table_entries");
-            p.deltas_per_pattern = k.u32("deltas_per_pattern");
-            p.max_lookahead = k.u32("max_lookahead");
-            p.lookahead_cutoff = k.u32("lookahead_cutoff");
-            p.fill_threshold = k.u32("fill_threshold");
-            p.aggressive = k.flag("aggressive");
-            return std::make_unique<SppPrefetcher>(p);
+        "spp", schema, [](const Config &cfg) {
+            return std::make_unique<SppPrefetcher>(schema.parse(cfg));
         });
 }
 

@@ -76,8 +76,8 @@ renderComponentName(const std::string &name)
  * Knob-schema check of one forwarded component subtree: every key of
  * @p params must be a knob @p component declared (with a well-typed
  * value). Returns one error string per offence, keys prefixed with
- * @p prefix ("scheme.offchip."). Slots without a component, and
- * components registered without a schema, have nothing to check.
+ * @p prefix ("scheme.offchip."). A slot without a component has
+ * nothing to check.
  */
 template <typename Reg>
 std::vector<std::string>
@@ -86,10 +86,8 @@ subtreeKnobErrors(const Reg &reg, const std::string &component,
 {
     if (component.empty() || params.empty())
         return {};
-    const KnobSchema *ks = reg.knobs(component);
-    if (ks == nullptr)
-        return {};
-    return ks->check(params, reg.kind() + " '" + component + "'", prefix);
+    return reg.knobs(component).check(
+        params, reg.kind() + " '" + component + "'", prefix);
 }
 
 } // namespace
@@ -250,14 +248,8 @@ SystemConfig::cascadeLake(unsigned cores)
     SystemConfig c;
     c.num_cores = cores;
     c.dram_gbps_per_core = cores == 1 ? 12.8 : 3.2;
-
-    c.core.rob_size = 224;
-    c.core.fetch_width = 4;
-    c.core.retire_width = 4;
-    c.core.lq_size = 72;
-    c.core.sq_size = 56;
-    c.core.mispredict_penalty = 6;
-    c.core.spec_latency = 6;
+    // The core and the DRAM controller run at their Params defaults,
+    // which are the Table III values.
 
     c.l1i.level = MemLevel::L1D;    // stats-only; L1I has no prefetcher
     c.l1i.level_num = 1;
@@ -308,66 +300,95 @@ SystemConfig::cascadeLake(unsigned cores)
     c.stlb.entries = 1536;
     c.stlb.ways = 12;
     c.stlb.latency = 8;
-
-    c.dram.banks = 8;
-    c.dram.blocks_per_row = 128;
-    c.dram.t_rp = c.dram.t_rcd = c.dram.t_cas = 24;
-    c.dram.rq_size = 64;
-    c.dram.wq_size = 64;
-    c.dram.spec_buffer_entries = 64;
     return c;
 }
 
 namespace
 {
 
-unsigned
-getU32(const Config &cfg, const std::string &key, unsigned def)
+const ParamSchema<Core::Params> &
+coreKnobs()
 {
-    return cfg.getUnsigned32(key, def);
+    using P = Core::Params;
+    static const ParamSchema<P> schema{
+        {"rob_size", &P::rob_size, "reorder-buffer entries"},
+        {"fetch_width", &P::fetch_width, "instructions fetched per cycle"},
+        {"retire_width", &P::retire_width,
+         "instructions retired per cycle"},
+        {"lq_size", &P::lq_size, "load-queue entries"},
+        {"sq_size", &P::sq_size, "store-queue entries"},
+        {"load_ports", &P::load_ports, "loads issued per cycle"},
+        {"mispredict_penalty", &P::mispredict_penalty,
+         "refill bubbles after a mispredicted branch resolves"},
+        {"spec_latency", &P::spec_latency,
+         "cycles before an off-chip prediction's DRAM request issues"},
+    };
+    return schema;
 }
 
-void
-cacheToConfig(Config &c, const std::string &p, const Cache::Params &cp)
+const ParamSchema<Cache::Params> &
+cacheKnobs()
 {
-    c.set(p + ".sets", cp.sets);
-    c.set(p + ".ways", cp.ways);
-    c.set(p + ".latency", cp.latency);
-    c.set(p + ".mshrs", cp.mshrs);
-    c.set(p + ".rq_size", cp.rq_size);
-    c.set(p + ".wq_size", cp.wq_size);
-    c.set(p + ".pq_size", cp.pq_size);
-    c.set(p + ".lookups_per_cycle", cp.lookups_per_cycle);
+    using P = Cache::Params;
+    static const ParamSchema<P> schema{
+        {"sets", &P::sets, "sets (LLC: per core)"},
+        {"ways", &P::ways, "associativity"},
+        {"latency", &P::latency, "hit latency (cycles)"},
+        {"mshrs", &P::mshrs, "miss-status holding registers (LLC: per core)"},
+        {"rq_size", &P::rq_size, "read-queue entries (LLC: per core)"},
+        {"wq_size", &P::wq_size, "write-queue entries (LLC: per core)"},
+        {"pq_size", &P::pq_size, "prefetch-queue entries (LLC: per core)"},
+        {"lookups_per_cycle", &P::lookups_per_cycle,
+         "tag lookups per cycle across the RQ, WQ and PQ"},
+    };
+    return schema;
 }
 
-void
-cacheFromConfig(const Config &c, const std::string &p, Cache::Params &cp)
+const ParamSchema<Tlb::Params> &
+tlbKnobs()
 {
-    cp.sets = getU32(c, p + ".sets", cp.sets);
-    cp.ways = getU32(c, p + ".ways", cp.ways);
-    cp.latency = getU32(c, p + ".latency", cp.latency);
-    cp.mshrs = getU32(c, p + ".mshrs", cp.mshrs);
-    cp.rq_size = getU32(c, p + ".rq_size", cp.rq_size);
-    cp.wq_size = getU32(c, p + ".wq_size", cp.wq_size);
-    cp.pq_size = getU32(c, p + ".pq_size", cp.pq_size);
-    cp.lookups_per_cycle
-        = getU32(c, p + ".lookups_per_cycle", cp.lookups_per_cycle);
+    using P = Tlb::Params;
+    static const ParamSchema<P> schema{
+        {"entries", &P::entries, "translation entries"},
+        {"ways", &P::ways, "associativity"},
+        {"latency", &P::latency, "hit latency (cycles)"},
+    };
+    return schema;
 }
 
-void
-tlbToConfig(Config &c, const std::string &p, const Tlb::Params &tp)
+const ParamSchema<DramController::Params> &
+dramKnobs()
 {
-    c.set(p + ".entries", tp.entries);
-    c.set(p + ".ways", tp.ways);
-    c.set(p + ".latency", tp.latency);
+    using P = DramController::Params;
+    static const ParamSchema<P> schema{
+        {"banks", &P::banks, "banks (one open row each)"},
+        {"blocks_per_row", &P::blocks_per_row,
+         "64 B blocks per row buffer"},
+        {"t_rp", &P::t_rp, "row precharge time (cycles)"},
+        {"t_rcd", &P::t_rcd, "row-to-column delay (cycles)"},
+        {"t_cas", &P::t_cas, "column access latency (cycles)"},
+        {"rq_size", &P::rq_size, "read-queue entries"},
+        {"wq_size", &P::wq_size, "write-queue entries"},
+        {"spec_buffer_entries", &P::spec_buffer_entries,
+         "speculative-line buffer entries per core (Hermes path)"},
+    };
+    return schema;
 }
 
+/** Call @p fn(prefix, schema, params) for every block of the machine:
+ *  the Params of @p c that the "<prefix>.<knob>" keys fill. */
+template <typename Self, typename Fn>
 void
-tlbFromConfig(const Config &c, const std::string &p, Tlb::Params &tp)
+forEachMachineBlock(Self &c, Fn &&fn)
 {
-    tp.entries = getU32(c, p + ".entries", tp.entries);
-    tp.ways = getU32(c, p + ".ways", tp.ways);
-    tp.latency = getU32(c, p + ".latency", tp.latency);
+    fn("core", coreKnobs(), c.core);
+    fn("l1i", cacheKnobs(), c.l1i);
+    fn("l1d", cacheKnobs(), c.l1d);
+    fn("l2", cacheKnobs(), c.l2);
+    fn("llc", cacheKnobs(), c.llc);
+    fn("dtlb", tlbKnobs(), c.dtlb);
+    fn("stlb", tlbKnobs(), c.stlb);
+    fn("dram", dramKnobs(), c.dram);
 }
 
 } // namespace
@@ -375,7 +396,7 @@ tlbFromConfig(const Config &c, const std::string &p, Tlb::Params &tp)
 SystemConfig
 SystemConfig::fromConfig(const Config &cfg)
 {
-    unsigned cores = getU32(cfg, "cores", 1);
+    unsigned cores = cfg.getUnsigned32("cores", 1);
     if (cores == 0) {
         throw ConfigError("cores = 0: a system needs at least one core "
                           "(multi-core mixes supply one workload per core)");
@@ -431,35 +452,13 @@ SystemConfig::fromConfig(const Config &cfg)
     if (!knob_errors.empty())
         throwConfigErrors(knob_errors);
 
-    c.core.rob_size = getU32(cfg, "core.rob_size", c.core.rob_size);
-    c.core.fetch_width = getU32(cfg, "core.fetch_width", c.core.fetch_width);
-    c.core.retire_width
-        = getU32(cfg, "core.retire_width", c.core.retire_width);
-    c.core.lq_size = getU32(cfg, "core.lq_size", c.core.lq_size);
-    c.core.sq_size = getU32(cfg, "core.sq_size", c.core.sq_size);
-    c.core.load_ports = getU32(cfg, "core.load_ports", c.core.load_ports);
-    c.core.mispredict_penalty
-        = getU32(cfg, "core.mispredict_penalty", c.core.mispredict_penalty);
-    c.core.spec_latency
-        = getU32(cfg, "core.spec_latency", c.core.spec_latency);
-
-    cacheFromConfig(cfg, "l1i", c.l1i);
-    cacheFromConfig(cfg, "l1d", c.l1d);
-    cacheFromConfig(cfg, "l2", c.l2);
-    cacheFromConfig(cfg, "llc", c.llc);
-    tlbFromConfig(cfg, "dtlb", c.dtlb);
-    tlbFromConfig(cfg, "stlb", c.stlb);
-
-    c.dram.banks = getU32(cfg, "dram.banks", c.dram.banks);
-    c.dram.blocks_per_row
-        = getU32(cfg, "dram.blocks_per_row", c.dram.blocks_per_row);
-    c.dram.t_rp = getU32(cfg, "dram.t_rp", c.dram.t_rp);
-    c.dram.t_rcd = getU32(cfg, "dram.t_rcd", c.dram.t_rcd);
-    c.dram.t_cas = getU32(cfg, "dram.t_cas", c.dram.t_cas);
-    c.dram.rq_size = getU32(cfg, "dram.rq_size", c.dram.rq_size);
-    c.dram.wq_size = getU32(cfg, "dram.wq_size", c.dram.wq_size);
-    c.dram.spec_buffer_entries = getU32(cfg, "dram.spec_buffer_entries",
-                                        c.dram.spec_buffer_entries);
+    // Machine knobs are read key by key, never through sub(): sub()
+    // would mark a misspelled "l1d.sett" consumed along with the
+    // l1d.prefetcher subtree.
+    forEachMachineBlock(c, [&cfg](const std::string &prefix,
+                                  const auto &schema, auto &params) {
+        schema.parse(cfg, params, prefix + ".");
+    });
 
     // Reject unknown keys, pointing at what exists. Detection is
     // consumed-key tracking — everything understood was read by a getter
@@ -514,30 +513,11 @@ SystemConfig::toConfig() const
     for (const std::string &k : sch.keys())
         c.set("scheme." + k, sch.getString(k));
 
-    c.set("core.rob_size", core.rob_size);
-    c.set("core.fetch_width", core.fetch_width);
-    c.set("core.retire_width", core.retire_width);
-    c.set("core.lq_size", core.lq_size);
-    c.set("core.sq_size", core.sq_size);
-    c.set("core.load_ports", core.load_ports);
-    c.set("core.mispredict_penalty", core.mispredict_penalty);
-    c.set("core.spec_latency", core.spec_latency);
-
-    cacheToConfig(c, "l1i", l1i);
-    cacheToConfig(c, "l1d", l1d);
-    cacheToConfig(c, "l2", l2);
-    cacheToConfig(c, "llc", llc);
-    tlbToConfig(c, "dtlb", dtlb);
-    tlbToConfig(c, "stlb", stlb);
-
-    c.set("dram.banks", dram.banks);
-    c.set("dram.blocks_per_row", dram.blocks_per_row);
-    c.set("dram.t_rp", dram.t_rp);
-    c.set("dram.t_rcd", dram.t_rcd);
-    c.set("dram.t_cas", dram.t_cas);
-    c.set("dram.rq_size", dram.rq_size);
-    c.set("dram.wq_size", dram.wq_size);
-    c.set("dram.spec_buffer_entries", dram.spec_buffer_entries);
+    forEachMachineBlock(*this, [&c](const std::string &prefix,
+                                    const auto &schema,
+                                    const auto &params) {
+        schema.render(params, c, prefix + ".");
+    });
     return c;
 }
 
@@ -556,8 +536,7 @@ SystemConfig::l2PrefetcherBuildConfig() const
     // The PPF-companion tuning (§V-E): with an L2 filter deployed the L2
     // prefetcher runs aggressive and lets the filter prune. Injected only
     // where declared; a user-set subtree key still wins.
-    const KnobSchema *ks = prefetcherRegistry().knobs(l2_prefetcher);
-    if (ks == nullptr || ks->contains("aggressive"))
+    if (prefetcherRegistry().knobs(l2_prefetcher).contains("aggressive"))
         pc.set("aggressive", scheme.hasL2Filter());
     pc.merge(l2_pf_params);
     return pc;
@@ -567,9 +546,9 @@ Config
 SystemConfig::effectiveConfig() const
 {
     Config c = toConfig();
-    auto expand = [&c](const std::string &prefix, const KnobSchema *ks,
+    auto expand = [&c](const std::string &prefix, const KnobSchema &ks,
                        const Config &built) {
-        Config eff = ks != nullptr ? ks->defaults() : Config{};
+        Config eff = ks.defaults();
         eff.merge(built);
         eff.erase("name");   // per-cpu stat prefix, injected at build time
         for (const std::string &k : eff.keys())
@@ -612,6 +591,11 @@ SystemConfig::dumpConfig() const
 void
 SystemConfig::overlay(Config &lower, const Config &upper)
 {
+    // A scheme preset named above replaces the whole scheme below.
+    if (upper.has("scheme")) {
+        lower.erase("scheme");
+        lower.eraseSub("scheme");
+    }
     for (const char *slot :
          {"scheme.offchip", "scheme.l1_filter", "scheme.l2_filter",
           "l1d.prefetcher", "l2.prefetcher"}) {
@@ -622,6 +606,22 @@ SystemConfig::overlay(Config &lower, const Config &upper)
         }
     }
     lower.merge(upper);
+}
+
+std::string
+SystemConfig::machineKnobReference()
+{
+    const SystemConfig table3 = cascadeLake(1);
+    std::string out;
+    forEachMachineBlock(table3, [&out](const std::string &prefix,
+                                       const auto &schema,
+                                       const auto &params) {
+        Config values;
+        schema.render(params, values);
+        out += (out.empty() ? "machine " : "\nmachine ") + prefix + "\n"
+            + schema.reference(values);
+    });
+    return out;
 }
 
 unsigned

@@ -12,7 +12,11 @@
  * SchemeConfig preset (SchemeConfig::fromName) shipped as a config file
  * under configs/. A component is tuned only through its own declared
  * knobs (scheme.offchip.tau_high, l1d.prefetcher.table_scale_shift,
- * ...), and its KnobSchema default is the only default.
+ * ...), and its KnobSchema default is the only default. The machine's
+ * core, cache, TLB and DRAM Params are tuned the same way: each block
+ * binds its fields in a ParamSchema (common/knobs.hh), and
+ * fromConfig/toConfig fill and dump every "<block>.<knob>" key (core.*,
+ * l1i|l1d|l2|llc.*, dtlb|stlb.*, dram.*) in one loop over the blocks.
  */
 
 #ifndef TLPSIM_SIM_SYSTEM_CONFIG_HH
@@ -193,7 +197,10 @@ struct SystemConfig
      * --set; @p upper wins per key). Where both layers name a component
      * for a slot ("scheme.offchip", "l1d.prefetcher", ...) and the
      * names differ, @p lower's knobs for that slot are dropped first:
-     * they tuned the component being replaced.
+     * they tuned the component being replaced. Likewise an @p upper that
+     * names a scheme preset ("scheme = hermes") drops @p lower's
+     * "scheme" and every "scheme.*" key; @p upper's own scheme.* keys
+     * still apply over the preset.
      */
     static void overlay(Config &lower, const Config &upper);
 
@@ -202,6 +209,10 @@ struct SystemConfig
      *  "aggressive" flag derived from the scheme. */
     Config l1PrefetcherBuildConfig() const;
     Config l2PrefetcherBuildConfig() const;
+
+    /** The machine half of `tlpsim --knobs`: one block per core, cache,
+     *  TLB and DRAM prefix, each knob at its Table III value. */
+    static std::string machineKnobReference();
 
     /** DRAM burst occupancy for the configured bandwidth. */
     unsigned burstCycles() const;

@@ -70,14 +70,12 @@ def golden_cases():
     cases.append((fixture("layering-clean"), 0, []))
 
     fx = fixture("schema-violation")
-    stride_line = line_with(fx, "src/prefetch/thing.cc",
-                            '{"stride", 4u,')
+    params_line = line_with(fx, "src/prefetch/thing.hh", "struct Params")
     cases.append((fx, 1, [
-        f"src/prefetch/thing.cc:{stride_line}: error: [schema] "
-        f"component 'thing': knob 'stride' default is the literal "
-        f"'4u' instead of being rendered from a default-constructed "
-        f"Params (compare ThingPrefetcher::Params.stride); literals "
-        f"drift silently when the struct initializer changes",
+        f"src/prefetch/thing.hh:{params_line}: error: [schema] "
+        f"component 'thing': ThingPrefetcher::Params.hidden has no bound "
+        f"knob; it cannot be swept and is invisible to --knobs (bind it, "
+        f"or waive with the reason it must stay internal)",
     ]))
     cases.append((fixture("schema-clean"), 0, []))
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "sim/runner.hh"
 #include "sim/system_config.hh"
 #include "workloads/workload.hh"
@@ -101,15 +103,33 @@ TEST(Config, ParseErrorsNameTheLine)
 
 TEST(Config, BadValueErrorsNameKeyAndValue)
 {
-    Config c = Config::parse("cores = banana\n");
-    try {
-        c.getUnsigned("cores", 1);
-        FAIL() << "expected ConfigError";
-    } catch (const ConfigError &e) {
-        std::string msg = e.what();
-        EXPECT_NE(msg.find("cores"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("banana"), std::string::npos) << msg;
-    }
+    // Each getter names its own range, for malformed values as well as
+    // out-of-range ones.
+    Config c = Config::parse("cores = banana\nbig = 4294967296\n");
+    auto expectError = [](auto &&get, const char *key, const char *value,
+                          const char *range) {
+        try {
+            get();
+            FAIL() << "expected ConfigError for " << key << " = " << value;
+        } catch (const ConfigError &e) {
+            std::string msg = e.what();
+            EXPECT_NE(msg.find(key), std::string::npos) << msg;
+            EXPECT_NE(msg.find(value), std::string::npos) << msg;
+            EXPECT_NE(msg.find(range), std::string::npos) << msg;
+        }
+    };
+    expectError([&] { c.getUnsigned("cores", 1); }, "cores", "banana",
+                "a 64-bit non-negative integer");
+    expectError([&] { c.getInt("cores", 1); }, "cores", "banana",
+                "a 64-bit integer");
+    expectError([&] { c.getUnsigned32("cores", 1); }, "cores", "banana",
+                "a 32-bit non-negative integer");
+    expectError([&] { c.getInt32("cores", 1); }, "cores", "banana",
+                "a 32-bit integer");
+    expectError([&] { c.getUnsigned32("big", 1); }, "big", "4294967296",
+                "a 32-bit non-negative integer");
+    expectError([&] { c.getInt32("big", 1); }, "big", "4294967296",
+                "a 32-bit integer");
 }
 
 // --- scheme presets ---------------------------------------------------------
@@ -236,6 +256,36 @@ TEST(SystemConfig, LayerSwappingAComponentDropsItsKnobs)
                           Config::parseAssignments("scheme.offchip=flp"));
     EXPECT_EQ(SystemConfig::fromConfig(same).scheme,
               SchemeConfig::fromName("tsp"));
+}
+
+// A layer naming a scheme preset replaces the lower layers' whole scheme
+// (their "scheme" and every scheme.* key), while scheme.* keys in the
+// shorthand's own layer still tune the preset.
+TEST(SystemConfig, LayerNamingASchemeReplacesTheLowerScheme)
+{
+    Config merged = Config::parseFile(TLPSIM_CONFIGS_DIR "/tsp.conf");
+    SystemConfig::overlay(merged, Config::parseAssignments("scheme=hermes"));
+    EXPECT_EQ(SystemConfig::fromConfig(merged).scheme,
+              SchemeConfig::fromName("hermes"));
+
+    Config tuned = Config::parseFile(TLPSIM_CONFIGS_DIR "/tsp.conf");
+    SystemConfig::overlay(
+        tuned, Config::parseAssignments(
+                   "scheme=hermes, scheme.offchip.tau_high=3"));
+    SystemConfig cfg = SystemConfig::fromConfig(tuned);
+    EXPECT_EQ(cfg.scheme.name, "hermes");
+    EXPECT_EQ(cfg.scheme.offchip, "hermes");
+    EXPECT_FALSE(cfg.scheme.hasL1Filter());
+    EXPECT_EQ(cfg.scheme.offchip_params.keys(),
+              std::vector<std::string>{"tau_high"});
+    EXPECT_EQ(cfg.scheme.offchip_params.getString("tau_high"), "3");
+
+    // A lower shorthand is replaced the same way.
+    Config shorthand = Config::parse("scheme = tsp\n");
+    SystemConfig::overlay(shorthand,
+                          Config::parseAssignments("scheme=hermes"));
+    EXPECT_EQ(SystemConfig::fromConfig(shorthand).scheme,
+              SchemeConfig::fromName("hermes"));
 }
 
 // A --print-config dump reused as the base config of a --scheme / --sweep
@@ -384,6 +434,126 @@ TEST(SystemConfig, UnknownOffchipPredictorListsRegistryNames)
         EXPECT_NE(msg.find("flp"), std::string::npos) << msg;
         EXPECT_NE(msg.find("hermes"), std::string::npos) << msg;
     }
+}
+
+namespace
+{
+
+/** A machine key and a read of the Params field it must set. */
+using MachineField
+    = std::pair<std::string, std::function<unsigned(const SystemConfig &)>>;
+
+/** Append "<block>.<knob>" -> (cfg.*params).*member for each member. */
+template <typename P>
+void
+addMachineFields(
+    std::vector<MachineField> &out, const std::string &block,
+    P SystemConfig::*params,
+    std::initializer_list<std::pair<const char *, unsigned P::*>> members)
+{
+    for (const auto &[knob, member] : members) {
+        out.emplace_back(block + "." + knob,
+                         [params, m = member](const SystemConfig &c) {
+                             return (c.*params).*m;
+                         });
+    }
+}
+
+} // namespace
+
+// Every one of the machine's 54 keys reaches the Params field it names.
+// The table is written independently of the knob declarations, so an
+// entry bound to the wrong field fails here.
+TEST(SystemConfig, EveryMachineKeyReachesItsField)
+{
+    using C = Core::Params;
+    using K = Cache::Params;
+    using T = Tlb::Params;
+    using D = DramController::Params;
+    std::vector<MachineField> fields;
+    addMachineFields<C>(
+        fields, "core", &SystemConfig::core,
+        {{"rob_size", &C::rob_size}, {"fetch_width", &C::fetch_width},
+         {"retire_width", &C::retire_width}, {"lq_size", &C::lq_size},
+         {"sq_size", &C::sq_size}, {"load_ports", &C::load_ports},
+         {"mispredict_penalty", &C::mispredict_penalty},
+         {"spec_latency", &C::spec_latency}});
+    for (const auto &[block, cache] :
+         {std::pair{"l1i", &SystemConfig::l1i}, {"l1d", &SystemConfig::l1d},
+          {"l2", &SystemConfig::l2}, {"llc", &SystemConfig::llc}}) {
+        addMachineFields<K>(
+            fields, block, cache,
+            {{"sets", &K::sets}, {"ways", &K::ways},
+             {"latency", &K::latency}, {"mshrs", &K::mshrs},
+             {"rq_size", &K::rq_size}, {"wq_size", &K::wq_size},
+             {"pq_size", &K::pq_size},
+             {"lookups_per_cycle", &K::lookups_per_cycle}});
+    }
+    for (const auto &[block, tlb] : {std::pair{"dtlb", &SystemConfig::dtlb},
+                                     {"stlb", &SystemConfig::stlb}}) {
+        addMachineFields<T>(fields, block, tlb,
+                            {{"entries", &T::entries}, {"ways", &T::ways},
+                             {"latency", &T::latency}});
+    }
+    addMachineFields<D>(
+        fields, "dram", &SystemConfig::dram,
+        {{"banks", &D::banks}, {"blocks_per_row", &D::blocks_per_row},
+         {"t_rp", &D::t_rp}, {"t_rcd", &D::t_rcd}, {"t_cas", &D::t_cas},
+         {"rq_size", &D::rq_size}, {"wq_size", &D::wq_size},
+         {"spec_buffer_entries", &D::spec_buffer_entries}});
+    ASSERT_EQ(fields.size(), 54u);
+
+    // Distinct values, none of them a Table III default.
+    Config c;
+    for (std::size_t i = 0; i < fields.size(); ++i)
+        c.set(fields[i].first, 5000 + i);
+    const SystemConfig cfg = SystemConfig::fromConfig(c);
+    for (std::size_t i = 0; i < fields.size(); ++i)
+        EXPECT_EQ(fields[i].second(cfg), 5000 + i) << fields[i].first;
+
+    // The dump renders each back under the same key, and no other
+    // machine key exists.
+    const Config dump = cfg.toConfig();
+    Config machine;
+    for (const std::string &k : dump.keys()) {
+        const std::string block = k.substr(0, k.find('.'));
+        if (k.find('.') != std::string::npos && block != "scheme"
+            && k.find(".prefetcher") == std::string::npos) {
+            machine.set(k, dump.getString(k));
+        }
+    }
+    EXPECT_EQ(machine, c);
+}
+
+// Machine keys share their blocks with component slots (l1d.prefetcher):
+// a misspelled machine key must still fail, listing the block's keys,
+// and a malformed value must name the key and the 32-bit range.
+TEST(SystemConfig, MachineKeyTyposAndBadValuesFail)
+{
+    auto expectError = [](const std::string &line,
+                          std::initializer_list<const char *> needles) {
+        try {
+            SystemConfig::fromConfig(Config::parse(line + "\n"));
+            FAIL() << "expected ConfigError for " << line;
+        } catch (const ConfigError &e) {
+            std::string msg = e.what();
+            for (const char *needle : needles)
+                EXPECT_NE(msg.find(needle), std::string::npos) << msg;
+        }
+    };
+    expectError("l1d.sett = 4",
+                {"unknown config key 'l1d.sett'", "l1d.sets",
+                 "l1d.prefetcher"});
+    expectError("dram.t_rpp = 3",
+                {"unknown config key 'dram.t_rpp'", "dram.t_rp"});
+    expectError("core.rob_sise = 3",
+                {"unknown config key 'core.rob_sise'", "core.rob_size"});
+    expectError("l1d.sets = banana",
+                {"'l1d.sets'", "banana", "32-bit non-negative"});
+    expectError("dram.banks = -1",
+                {"'dram.banks'", "-1", "32-bit non-negative"});
+    expectError("core.rob_size = 4294967296",
+                {"'core.rob_size'", "4294967296", "32-bit non-negative"});
 }
 
 // The named scheme.* knobs are gone: each component is tuned only

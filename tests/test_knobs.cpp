@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/knobs.hh"
+#include "offchip/offchip_predictor.hh"
 #include "prefetch/factory.hh"
 #include "prefetch/next_line.hh"
 #include "sim/runner.hh"
@@ -47,23 +48,83 @@ expectConfigError(Fn &&fn, std::initializer_list<const char *> needles)
 
 TEST(KnobSchema, EveryBuiltinComponentDeclaresKnobs)
 {
-    for (const char *name : kPrefetchers) {
-        const KnobSchema *ks = prefetcherRegistry().knobs(name);
-        ASSERT_NE(ks, nullptr) << name;
-        EXPECT_FALSE(ks->specs().empty()) << name;
-        for (const KnobSpec &s : ks->specs())
+    auto expectDeclared = [](const KnobSchema &ks, const char *name) {
+        EXPECT_FALSE(ks.specs().empty()) << name;
+        for (const KnobSpec &s : ks.specs())
             EXPECT_FALSE(s.description.empty()) << name << "." << s.name;
-    }
+    };
+    for (const char *name : kPrefetchers)
+        expectDeclared(prefetcherRegistry().knobs(name), name);
     for (const char *name : kFilters)
-        ASSERT_NE(filterRegistry().knobs(name), nullptr) << name;
+        expectDeclared(filterRegistry().knobs(name), name);
     for (const char *name : kOffchip)
-        ASSERT_NE(offchipRegistry().knobs(name), nullptr) << name;
+        expectDeclared(offchipRegistry().knobs(name), name);
 }
 
 TEST(KnobSchema, DuplicateKnobNameIsRejected)
 {
-    EXPECT_THROW((KnobSchema{{"degree", 1u, "a"}, {"degree", 2u, "b"}}),
+    using P = NextLinePrefetcher::Params;
+    EXPECT_THROW((ParamSchema<P>{{"degree", &P::degree, "a"},
+                                 {"degree", &P::degree, "b"}}),
                  ConfigError);
+}
+
+// The bound field fixes each knob's type, width and default, and
+// parse()/render() move values through it both ways.
+TEST(KnobSchema, BoundFieldsParseAndRender)
+{
+    struct P
+    {
+        std::string label = "x";
+        int delta = -3;
+        unsigned count = 7;
+        std::uint64_t window = 60;
+        bool on = true;
+        double ratio = 0.5;
+        OffchipPolicy policy = OffchipPolicy::Selective;
+    };
+    const ParamSchema<P> schema{
+        {"label", &P::label, "a string"},
+        {"delta", &P::delta, "an int"},
+        {"count", &P::count, "an unsigned"},
+        {"window", &P::window, "a 64-bit unsigned"},
+        {"on", &P::on, "a flag"},
+        {"ratio", &P::ratio, "a number"},
+        {"policy", &P::policy, "an enum",
+         {"immediate", "always_delay", "selective"}},
+    };
+    EXPECT_EQ(schema.defaults().serialize(),
+              "count = 7\ndelta = -3\nlabel = x\non = true\n"
+              "policy = selective\nratio = 0.5\nwindow = 60\n");
+    EXPECT_EQ(schema.find("delta")->type, KnobType::Int);
+    EXPECT_EQ(schema.find("count")->bits, 32u);
+    EXPECT_EQ(schema.find("window")->bits, 64u);
+    EXPECT_EQ(schema.find("policy")->type, KnobType::String);
+
+    Config set = Config::parse("label = y\ndelta = 5\ncount = 9\n"
+                               "window = 8589934592\non = false\n"
+                               "ratio = 0.25\npolicy = always_delay\n");
+    P p = schema.parse(set);
+    EXPECT_EQ(p.label, "y");
+    EXPECT_EQ(p.delta, 5);
+    EXPECT_EQ(p.count, 9u);
+    EXPECT_EQ(p.window, 8589934592u);
+    EXPECT_FALSE(p.on);
+    EXPECT_EQ(p.ratio, 0.25);
+    EXPECT_EQ(p.policy, OffchipPolicy::AlwaysDelay);
+    Config dumped;
+    schema.render(p, dumped);
+    EXPECT_EQ(dumped, set);
+
+    // A prefixed parse reads only its own keys, consuming exactly them.
+    Config mixed = Config::parse("blk.count = 2\nblk.cuont = 3\n");
+    P q;
+    schema.parse(mixed, q, "blk.");
+    EXPECT_EQ(q.count, 2u);
+    EXPECT_EQ(mixed.unconsumedKeys(), std::vector<std::string>{"blk.cuont"});
+    expectConfigError(
+        [&] { schema.parse(Config::parse("policy = sometimes\n")); },
+        {"policy", "sometimes", "always_delay"});
 }
 
 // --- registry build()-time validation ---------------------------------------
@@ -84,38 +145,6 @@ TEST(KnobSchema, BuildRejectsWrongTypeNamingValidKnobs)
     expectConfigError(
         [&] { prefetcherRegistry().build("next_line", cfg); },
         {"degree", "lots", "unsigned", "declared knobs"});
-}
-
-TEST(KnobSchema, SchemaLessRegistrationStaysPermissive)
-{
-    // Out-of-tree components that have not declared knobs keep the old
-    // forward-everything behaviour (and --knobs marks them undeclared).
-    if (!prefetcherRegistry().contains("test_undeclared")) {
-        prefetcherRegistry().add("test_undeclared", [](const Config &cfg) {
-            return std::make_unique<NextLinePrefetcher>(
-                static_cast<unsigned>(cfg.getUnsigned("whatever", 1)));
-        });
-    }
-    Config cfg;
-    cfg.set("whatever", 3);
-    cfg.set("ignored_key", "x");
-    EXPECT_NE(prefetcherRegistry().build("test_undeclared", cfg), nullptr);
-    EXPECT_EQ(prefetcherRegistry().knobs("test_undeclared"), nullptr);
-    EXPECT_NE(knobReference("test_undeclared").find("not declared"),
-              std::string::npos);
-}
-
-TEST(KnobSchema, KnobsReaderCatchesSchemaDrift)
-{
-    // A builder reading a knob its schema never declared is a bug the
-    // first build catches, not a silent default.
-    const KnobSchema &schema = *prefetcherRegistry().knobs("next_line");
-    Config empty;
-    Knobs k(empty, schema, "prefetcher 'next_line'");
-    EXPECT_EQ(k.u32("degree"), 1u);
-    EXPECT_THROW(k.u32("degre"), ConfigError);
-    // Declared-type mismatch is caught the same way.
-    EXPECT_THROW(k.i32("degree"), ConfigError);
 }
 
 // --- forwarded-subtree validation in fromConfig -----------------------------
@@ -203,11 +232,9 @@ TEST(KnobSchema, ValidSubtreeKeysStillReachTheBuilders)
 TEST(KnobSchema, PrefetcherKnobsRoundTrip)
 {
     for (const char *name : kPrefetchers) {
-        const KnobSchema *ks = prefetcherRegistry().knobs(name);
-        ASSERT_NE(ks, nullptr) << name;
         Config c;
         c.set("l1d.prefetcher", name);
-        Config defs = ks->defaults();
+        Config defs = prefetcherRegistry().knobs(name).defaults();
         for (const std::string &k : defs.keys())
             c.set("l1d.prefetcher." + k, defs.getString(k));
 
@@ -237,21 +264,17 @@ TEST(KnobSchema, FilterAndOffchipKnobsRoundTrip)
             << label;
     };
     for (const char *name : kFilters) {
-        const KnobSchema *ks = filterRegistry().knobs(name);
-        ASSERT_NE(ks, nullptr) << name;
         Config c;
         c.set("scheme.l2_filter", name);
-        Config defs = ks->defaults();
+        Config defs = filterRegistry().knobs(name).defaults();
         for (const std::string &k : defs.keys())
             c.set("scheme.l2_filter." + k, defs.getString(k));
         roundTrip(c, name);
     }
     for (const char *name : kOffchip) {
-        const KnobSchema *ks = offchipRegistry().knobs(name);
-        ASSERT_NE(ks, nullptr) << name;
         Config c;
         c.set("scheme.offchip", name);
-        Config defs = ks->defaults();
+        Config defs = offchipRegistry().knobs(name).defaults();
         for (const std::string &k : defs.keys())
             c.set("scheme.offchip." + k, defs.getString(k));
         roundTrip(c, name);

@@ -81,10 +81,28 @@ TEST(Registry, UnknownNameListsValidNames)
     }
 }
 
+namespace
+{
+
+using NextLineParams = NextLinePrefetcher::Params;
+
+/** An out-of-tree next-line variant's bound schema: degree 4 default. */
+const ParamSchema<NextLineParams> &
+nextLineX4Knobs()
+{
+    static const ParamSchema<NextLineParams> schema(
+        {{"degree", &NextLineParams::degree, "lines prefetched ahead"}},
+        NextLineParams{4});
+    return schema;
+}
+
+} // namespace
+
 TEST(Registry, DuplicateRegistrationIsRejected)
 {
     EXPECT_THROW(prefetcherRegistry().add(
-                     "ipcp", [](const Config &) -> std::unique_ptr<Prefetcher>
+                     "ipcp", nextLineX4Knobs(),
+                     [](const Config &) -> std::unique_ptr<Prefetcher>
                      { return nullptr; }),
                  ConfigError);
 }
@@ -93,11 +111,11 @@ TEST(Registry, OutOfTreeComponentDropsIn)
 {
     // The extensibility story: a new backend is one registration away.
     if (!prefetcherRegistry().contains("test_next_line_x4")) {
-        prefetcherRegistry().add("test_next_line_x4", [](const Config &cfg) {
-            auto degree
-                = static_cast<unsigned>(cfg.getUnsigned("degree", 4));
-            return std::make_unique<NextLinePrefetcher>(degree);
-        });
+        prefetcherRegistry().add(
+            "test_next_line_x4", nextLineX4Knobs(), [](const Config &cfg) {
+                return std::make_unique<NextLinePrefetcher>(
+                    nextLineX4Knobs().parse(cfg));
+            });
     }
     auto pf = prefetcherRegistry().build("test_next_line_x4", Config{});
     ASSERT_NE(pf, nullptr);

@@ -12,11 +12,10 @@ figures depend on but that generic lint (clang-tidy, -Werror) cannot:
                tracefile,workloads,core} <- sim <- cli, with store a
                leaf both sim and cli may use), and every header under
                src/ compiles standalone.
-  schema       no drift between a component's Params struct and its
-               registered KnobSchema: every field has a knob, every
-               knob has a field, defaults are rendered from the
-               default-constructed Params (never literals), and the
-               shipped presets only name registered components/knobs.
+  schema       every field of a registered component's Params struct
+               is bound by an entry of its ParamSchema, so it can be
+               swept and shows in --knobs (the binding itself fixes
+               each knob's type, default and extraction).
   reset        every registry-built component initializes each scalar
                data member at its declaration (NSDMI) or in a
                constructor init list, so memoized Runner reuse can

@@ -29,7 +29,7 @@ class Finding:
 class Report:
     findings: list = field(default_factory=list)
     # Checker-specific context for machine consumers (component lists,
-    # preset lists, header counts, ...).
+    # header counts, ...).
     summary: dict = field(default_factory=dict)
 
     def add(self, finding):

@@ -180,44 +180,32 @@ class ThingPrefetcher
 SCHEMA_CC_BAD = """\
 #include "prefetch/thing.hh"
 
-namespace
-{
-
-const KnobSchema &
-thingKnobs()
-{
-    static const KnobSchema schema = [] {
-        const ThingPrefetcher::Params d;
-        return KnobSchema{
-            {"degree", d.degree, "lines ahead"},
-            {"stride", 4u, "literal default: the drift vector"},
-            {"ghost", 1u, "declared but never extracted"},
-        };
-    }();
-    return schema;
-}
-
-} // namespace
-
 void
 registerThing()
 {
+    using P = ThingPrefetcher::Params;
+    static const ParamSchema<P> schema{
+        {"degree", &P::degree, "lines ahead"},
+        {"stride", &P::stride, "line stride"},
+    };
     PrefetcherRegistry::instance().add(
-        "thing", thingKnobs(), [](const Config &cfg) {
-            Knobs k(cfg, thingKnobs(), "prefetcher 'thing'");
-            ThingPrefetcher::Params p;
-            p.degree = k.u32("degree");
-            p.stride = k.u32("bonus");
-            return std::make_unique<ThingPrefetcher>(p);
+        "thing", schema, [](const Config &cfg) {
+            return std::make_unique<ThingPrefetcher>(schema.parse(cfg));
         });
 }
 """
 
-SCHEMA_CONF_BAD = """\
-l1d.prefetcher = thing
-l1d.prefetcher.degree = 2
-l1d.prefetcher.mystery = 3
-l2.prefetcher = nosuch
+SCHEMA_CC_UNBOUND = """\
+#include "prefetch/thing.hh"
+
+void
+registerLoose()
+{
+    PrefetcherRegistry::instance().add(
+        "loose", looseKnobs(), [](const Config &cfg) {
+            return std::make_unique<ThingPrefetcher>(looseParams(cfg));
+        });
+}
 """
 
 SCHEMA_HH_GOOD = """\
@@ -244,39 +232,17 @@ class ThingPrefetcher
 SCHEMA_CC_GOOD = """\
 #include "prefetch/thing.hh"
 
-namespace
-{
-
-const KnobSchema &
-thingKnobs()
-{
-    static const KnobSchema schema = [] {
-        const ThingPrefetcher::Params d;
-        return KnobSchema{
-            {"degree", d.degree, "lines ahead"},
-        };
-    }();
-    return schema;
-}
-
-} // namespace
-
 void
 registerThing()
 {
+    static const ParamSchema<ThingPrefetcher::Params> schema{
+        {"degree", &ThingPrefetcher::Params::degree, "lines ahead"},
+    };
     PrefetcherRegistry::instance().add(
-        "thing", thingKnobs(), [](const Config &cfg) {
-            Knobs k(cfg, thingKnobs(), "prefetcher 'thing'");
-            ThingPrefetcher::Params p;
-            p.degree = k.u32("degree");
-            return std::make_unique<ThingPrefetcher>(p);
+        "thing", schema, [](const Config &cfg) {
+            return std::make_unique<ThingPrefetcher>(schema.parse(cfg));
         });
 }
-"""
-
-SCHEMA_CONF_GOOD = """\
-l1d.prefetcher = thing
-l1d.prefetcher.degree = 2
 """
 
 RESET_HH_BAD = """\
@@ -432,22 +398,15 @@ FIXTURES = [
         "files": {
             "src/prefetch/thing.hh": SCHEMA_HH,
             "src/prefetch/thing.cc": SCHEMA_CC_BAD,
-            "configs/fixture.conf": SCHEMA_CONF_BAD,
+            "src/prefetch/loose.cc": SCHEMA_CC_UNBOUND,
         },
         "expect": [
-            ("src/prefetch/thing.cc", '{"stride", 4u,',
-             "default is the literal '4u'"),
-            ("src/prefetch/thing.cc", '{"ghost", 1u,',
-             "declared but never extracted"),
-            ("src/prefetch/thing.cc", "PrefetcherRegistry::instance()",
-             "builder extracts undeclared knob 'bonus'"),
             ("src/prefetch/thing.hh", "struct Params",
-             "Params.hidden has no declared knob"),
-            ("configs/fixture.conf", "l1d.prefetcher.mystery",
-             "'mystery' is not a declared knob"),
-            ("configs/fixture.conf", "l2.prefetcher = nosuch",
-             "unregistered prefetcher 'nosuch'"),
+             "Params.hidden has no bound knob"),
+            ("src/prefetch/loose.cc", "PrefetcherRegistry::instance()",
+             "component 'loose': no ParamSchema"),
         ],
+        "forbid": ["Params.degree", "Params.stride"],
         "exit": 1,
     },
     {
@@ -456,7 +415,6 @@ FIXTURES = [
         "files": {
             "src/prefetch/thing.hh": SCHEMA_HH_GOOD,
             "src/prefetch/thing.cc": SCHEMA_CC_GOOD,
-            "configs/fixture.conf": SCHEMA_CONF_GOOD,
         },
         "expect": [],
         "exit": 0,
