@@ -196,8 +196,10 @@ Cache::probe(Addr paddr) const
 bool
 Cache::sendRead(const Packet &pkt)
 {
-    if (rq_.size() >= params_.rq_size)
+    if (rq_.size() >= params_.rq_size) {
+        noteRefusal();
         return false;
+    }
     const Cycle ready = pkt.birth + params_.latency;
     rq_.push_back({pkt, ready});   // tlpsim:cap (Ring, reserved)
     next_ready_ = std::min(next_ready_, ready);
@@ -207,8 +209,10 @@ Cache::sendRead(const Packet &pkt)
 bool
 Cache::sendWrite(const Packet &pkt)
 {
-    if (wq_.size() >= params_.wq_size)
+    if (wq_.size() >= params_.wq_size) {
+        noteRefusal();
         return false;
+    }
     const Cycle ready = pkt.birth + params_.latency;
     wq_.push_back({pkt, ready});   // tlpsim:cap (Ring, reserved)
     next_ready_ = std::min(next_ready_, ready);
@@ -218,8 +222,10 @@ Cache::sendWrite(const Packet &pkt)
 bool
 Cache::sendPrefetch(const Packet &pkt)
 {
-    if (pq_.size() >= params_.pq_size)
+    if (pq_.size() >= params_.pq_size) {
+        noteRefusal();
         return false;
+    }
     const Cycle ready = pkt.birth + params_.latency;
     pq_.push_back({pkt, ready});   // tlpsim:cap (Ring, reserved)
     next_ready_ = std::min(next_ready_, ready);
@@ -320,7 +326,7 @@ Cache::processFills(Cycle now)
         if (demand_merged)
             to_install.type = AccessType::Load;   // promoted: always allocate
         if (!install(to_install, now))
-            return;   // blocked on lower WQ; retry next cycle
+            return;   // blocked on lower WQ until it frees room
 
         if (mshr == nullptr) {
             // Fire-and-forget fill (pass-through prefetch): nothing to wake.
@@ -426,6 +432,31 @@ Cache::notifyPrefetcher(const Packet &pkt, bool hit, bool prefetch_hit,
 }
 
 bool
+Cache::forwardMiss(const Packet &pkt, Cycle now)
+{
+    if (mshrs_.size() >= params_.mshrs)
+        return false;
+    Packet fwd = pkt;
+    fwd.requestor = this;
+    fwd.req_id = blockNumber(pkt.paddr);
+    fwd.birth = now;
+    return pkt.type == AccessType::Prefetch ? lower_->sendPrefetch(fwd)
+                                            : lower_->sendRead(fwd);
+}
+
+void
+Cache::allocateMshr(const Packet &pkt, bool dirty_on_fill)
+{
+    Mshr mshr;
+    mshr.block = blockNumber(pkt.paddr);
+    mshr.type = pkt.type;
+    mshr.dirty_on_fill = dirty_on_fill;
+    mshr.primary = pkt;
+    mshr.waiters = takeWaiterStorage();
+    mshrs_.push_back(std::move(mshr));   // tlpsim:cap (reserved mshrs)
+}
+
+bool
 Cache::processRead(TimedPacket &entry, Cycle now)
 {
     Packet &pkt = entry.pkt;
@@ -447,6 +478,12 @@ Cache::processRead(TimedPacket &entry, Cycle now)
         return true;
     }
 
+    // A miss is accepted by merging into an outstanding MSHR, or with a
+    // free MSHR plus room below; a refusal returns before any effect.
+    Mshr *mshr = findMshr(pkt.paddr);
+    if (mshr == nullptr && !forwardMiss(pkt, now))
+        return false;
+
     countAccess(pkt.type, false);
 
     // FLP selective delay: the prediction was deferred to L1D-miss time.
@@ -462,37 +499,14 @@ Cache::processRead(TimedPacket &entry, Cycle now)
             params_.spec_observer->onSpecIssued(spec);
     }
 
-    if (Mshr *mshr = findMshr(pkt.paddr)) {
+    if (mshr != nullptr) {
         if (pkt.isDemand() && mshr->type == AccessType::Prefetch)
             mshr->demand_merged = true;
         mshr->waiters.push_back(pkt);   // tlpsim:cap (pooled)
         mshr_merge_->add();
-        if (pkt.isDemand()) {
-            notifyPrefetcher(pkt, false, false, now);
-            if (params_.filter != nullptr)
-                params_.filter->onDemandMiss(pkt.paddr, pkt.ip);
-        }
-        return true;
+    } else {
+        allocateMshr(pkt, false);
     }
-
-    if (mshrs_.size() >= params_.mshrs)
-        return false;
-
-    Packet fwd = pkt;
-    fwd.requestor = this;
-    fwd.req_id = blockNumber(pkt.paddr);
-    fwd.birth = now;
-    bool sent = pkt.type == AccessType::Prefetch ? lower_->sendPrefetch(fwd)
-                                                 : lower_->sendRead(fwd);
-    if (!sent)
-        return false;
-
-    Mshr mshr;
-    mshr.block = blockNumber(pkt.paddr);
-    mshr.type = pkt.type;
-    mshr.primary = pkt;
-    mshr.waiters = takeWaiterStorage();
-    mshrs_.push_back(std::move(mshr));   // tlpsim:cap (reserved mshrs)
 
     if (pkt.isDemand()) {
         notifyPrefetcher(pkt, false, false, now);
@@ -523,21 +537,27 @@ Cache::processWrite(TimedPacket &entry, Cycle now)
         return true;
     }
 
-    countAccess(pkt.type, false);
-
     if (pkt.type == AccessType::Writeback) {
         // Writeback miss: allocate directly, no downstream fetch.
         Packet inst = pkt;
         inst.type = AccessType::Load;   // force allocation at this level
         if (!install(inst, now))
             return false;
+        countAccess(pkt.type, false);
         Block *nb = lookup(pkt.paddr, false);
         nb->dirty = true;
         return true;
     }
 
-    // Store (RFO) miss at L1D: fetch the line, dirty it on fill.
-    if (Mshr *mshr = findMshr(pkt.paddr)) {
+    // Store (RFO) miss at L1D: fetch the line, dirty it on fill. As for
+    // reads, acceptance (merge, or MSHR plus room below) comes first.
+    assert(pkt.type == AccessType::Rfo);
+    Mshr *mshr = findMshr(pkt.paddr);
+    if (mshr == nullptr && !forwardMiss(pkt, now))
+        return false;
+
+    countAccess(pkt.type, false);
+    if (mshr != nullptr) {
         mshr->dirty_on_fill = true;
         if (mshr->type == AccessType::Prefetch)
             mshr->demand_merged = true;
@@ -546,24 +566,8 @@ Cache::processWrite(TimedPacket &entry, Cycle now)
         notifyPrefetcher(pkt, false, false, now);
         return true;
     }
-    if (mshrs_.size() >= params_.mshrs)
-        return false;
 
-    Packet fwd = pkt;
-    fwd.type = AccessType::Rfo;
-    fwd.requestor = this;
-    fwd.req_id = blockNumber(pkt.paddr);
-    fwd.birth = now;
-    if (!lower_->sendRead(fwd))
-        return false;
-
-    Mshr mshr;
-    mshr.block = blockNumber(pkt.paddr);
-    mshr.type = AccessType::Rfo;
-    mshr.dirty_on_fill = true;
-    mshr.primary = pkt;
-    mshr.waiters = takeWaiterStorage();
-    mshrs_.push_back(std::move(mshr));   // tlpsim:cap (reserved mshrs)
+    allocateMshr(pkt, true);
     notifyPrefetcher(pkt, false, false, now);
     if (params_.filter != nullptr)
         params_.filter->onDemandMiss(pkt.paddr, pkt.ip);
@@ -581,14 +585,18 @@ Cache::processPrefetch(TimedPacket &entry, Cycle now)
             pf_dup_->add();
             return true;
         }
-        if (!lower_->canAcceptPrefetch())
-            return false;   // retry without rebuilding the packet
         Packet fwd = pkt;
         fwd.birth = now;
         return lower_->sendPrefetch(fwd);
     }
 
+    // Settle acceptance first: a hit, a merge into an outstanding MSHR,
+    // or a free MSHR plus room below.
     Block *blk = lookup(pkt.paddr, true);
+    Mshr *mshr = blk == nullptr ? findMshr(pkt.paddr) : nullptr;
+    if (blk == nullptr && mshr == nullptr && !forwardMiss(pkt, now))
+        return false;
+
     // Prefetches arriving from the level above act as training accesses
     // for this level's prefetcher (ChampSim semantics): this is how SPP
     // at L2 runs ahead of the L1D prefetch stream.
@@ -604,7 +612,7 @@ Cache::processPrefetch(TimedPacket &entry, Cycle now)
     }
     countAccess(AccessType::Prefetch, false);
 
-    if (Mshr *mshr = findMshr(pkt.paddr)) {
+    if (mshr != nullptr) {
         if (pkt.requestor != nullptr) {
             mshr->waiters.push_back(pkt);   // tlpsim:cap (pooled)
             mshr_merge_->add();
@@ -613,24 +621,8 @@ Cache::processPrefetch(TimedPacket &entry, Cycle now)
         }
         return true;
     }
-    if (mshrs_.size() >= params_.mshrs)
-        return false;
-    if (!lower_->canAcceptPrefetch())
-        return false;   // retry without rebuilding the packet
 
-    Packet fwd = pkt;
-    fwd.requestor = this;
-    fwd.req_id = blockNumber(pkt.paddr);
-    fwd.birth = now;
-    if (!lower_->sendPrefetch(fwd))
-        return false;
-
-    Mshr mshr;
-    mshr.block = blockNumber(pkt.paddr);
-    mshr.type = AccessType::Prefetch;
-    mshr.primary = pkt;
-    mshr.waiters = takeWaiterStorage();
-    mshrs_.push_back(std::move(mshr));   // tlpsim:cap (reserved mshrs)
+    allocateMshr(pkt, false);
     return true;
 }
 
@@ -644,24 +636,25 @@ Cache::flushSpecDelay(Cycle now)
 }
 
 Cycle
-Cache::computeNextReady(Cycle now) const
+Cache::computeNextReady(Cycle now, bool progressed) const
 {
-    // Pending fills (including ones blocked on a full lower WQ) retry
-    // every cycle; otherwise the earliest queue-front due time decides.
-    // A front that is already due but stayed (budget exhausted, blocked
-    // miss) clamps to now+1 — those paths bump counters per retry cycle,
-    // so they must keep ticking.
-    if (!fills_.empty())
-        return now + 1;
-    Cycle e = kCycleNever;
+    // A queue front that is due but stayed either ran out of this
+    // cycle's lookup budget or was refused, and a fill still pending had
+    // its install refused by a full lower write queue. After a tick that
+    // moved something, any of them may go next cycle. After a tick that
+    // moved nothing, every one was refused, and retrying changes no
+    // state: they sleep until a fill arrives (memReturn), a request
+    // arrives (send*), or the level below frees room (wake).
+    const Cycle retry = progressed ? now + 1 : kCycleNever;
+    Cycle e = fills_.empty() ? kCycleNever : retry;
     if (!spec_delay_.empty())
         e = std::min(e, std::max(spec_delay_.front().ready_at, now + 1));
-    if (!rq_.empty())
-        e = std::min(e, std::max(rq_.front().ready_at, now + 1));
-    if (!wq_.empty())
-        e = std::min(e, std::max(wq_.front().ready_at, now + 1));
-    if (!pq_.empty())
-        e = std::min(e, std::max(pq_.front().ready_at, now + 1));
+    for (const Ring<TimedPacket> *q : {&rq_, &wq_, &pq_}) {
+        if (!q->empty()) {
+            const Cycle ready = q->front().ready_at;
+            e = std::min(e, ready > now ? ready : retry);
+        }
+    }
     return e;
 }
 
@@ -670,8 +663,9 @@ Cache::tick(Cycle now)
 {
     if (now < next_ready_)
         return;   // quiet cycle: nothing due yet
-    now_ = now;
+    const std::size_t fills_pending = fills_.size();
     processFills(now);
+    const bool filled = fills_.size() != fills_pending;
     if (!spec_delay_.empty())
         flushSpecDelay(now);
 
@@ -695,7 +689,11 @@ Cache::tick(Cycle now)
         --budget;
     }
 
-    next_ready_ = computeNextReady(now);
+    // Every accepted request freed a queue entry.
+    const bool accepted = budget != params_.lookups_per_cycle;
+    if (accepted)
+        wakeSenders(now);
+    next_ready_ = computeNextReady(now, filled || accepted);
 }
 
 // tlpsim:endhot

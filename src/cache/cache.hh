@@ -9,6 +9,17 @@
  * at lookup time, misses allocate an MSHR and forward downstream, and
  * fills respond to all merged waiters the cycle they are installed.
  *
+ * Acceptance comes first: a due request is accepted as a hit, as a merge
+ * into an outstanding MSHR, or with a free MSHR plus room in the level
+ * below, and only then counted and acted on (the hit/miss count, the
+ * delayed speculative DRAM read, prefetcher training, filter callbacks),
+ * once per request, as ChampSim counts a miss when it gets or merges
+ * into an MSHR. A refused request leaves no trace and stays at its queue
+ * front. A tick that moved nothing sleeps until a fill arrives, a new
+ * request arrives, or the level below frees room and wakes it
+ * (MemorySender); the wake is for the first cycle a per-cycle retry
+ * would have succeeded, so sleeping is bit-identical to retrying.
+ *
  * Prefetch fill levels: a prefetch packet carries the *lowest* level that
  * should allocate it (1=L1D, 2=L2C, 3=LLC). Every level at or below its
  * own number allocates the line on the fill path, as in ChampSim.
@@ -17,6 +28,7 @@
 #ifndef TLPSIM_CACHE_CACHE_HH
 #define TLPSIM_CACHE_CACHE_HH
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -46,7 +58,7 @@ class Translator
     virtual Addr translate(std::uint8_t core, Addr vaddr) = 0;
 };
 
-class Cache : public MemoryBackend, public MemoryClient
+class Cache : public MemoryBackend, public MemoryClient, public MemorySender
 {
   public:
     struct Params
@@ -85,7 +97,7 @@ class Cache : public MemoryBackend, public MemoryClient
     bool sendRead(const Packet &pkt) override;
     bool sendWrite(const Packet &pkt) override;
     bool sendPrefetch(const Packet &pkt) override;
-    bool canAcceptPrefetch() const override { return pq_.size() < params_.pq_size; }
+    bool canAcceptRead() const override { return rq_.size() < params_.rq_size; }
     bool probe(Addr paddr) const override;
     void tick(Cycle now) override;
 
@@ -101,8 +113,9 @@ class Cache : public MemoryBackend, public MemoryClient
 
     /**
      * Earliest cycle strictly after @p now at which tick() has any work
-     * (kCycleNever if quiescent until a send/fill arrives). Valid after
-     * tick(now); the same watermark also short-circuits quiet ticks.
+     * (kCycleNever if asleep until a send, a fill or a wake arrives).
+     * Valid after tick(now); the same watermark also short-circuits
+     * quiet ticks.
      */
     Cycle nextEventCycle(Cycle now) const
     {
@@ -111,6 +124,9 @@ class Cache : public MemoryBackend, public MemoryClient
 
     // MemoryClient (fills returning from the lower level)
     void memReturn(const Packet &pkt) override;
+
+    // MemorySender (the lower level freed room)
+    void wake(Cycle at) override { next_ready_ = std::min(next_ready_, at); }
 
     const Params &params() const { return params_; }
 
@@ -156,8 +172,15 @@ class Cache : public MemoryBackend, public MemoryClient
     Block *lookup(Addr paddr, bool update_lru);
     Mshr *findMshr(Addr paddr);
 
-    /** Recompute next_ready_ from the queue fronts (end of tick()). */
-    Cycle computeNextReady(Cycle now) const;
+    /** Recompute next_ready_ from the queue fronts (end of tick());
+     *  @p progressed: the tick installed a fill or accepted a request. */
+    Cycle computeNextReady(Cycle now, bool progressed) const;
+
+    /** Send @p pkt's miss below as this level's request, if an MSHR is
+     *  free. False (no free MSHR, or a refusal below) changes nothing. */
+    bool forwardMiss(const Packet &pkt, Cycle now);
+    /** Track @p pkt's accepted miss, already forwarded below. */
+    void allocateMshr(const Packet &pkt, bool dirty_on_fill);
 
     void processFills(Cycle now);
     bool processRead(TimedPacket &entry, Cycle now);
@@ -203,11 +226,11 @@ class Cache : public MemoryBackend, public MemoryClient
     std::vector<std::vector<Packet>> waiter_pool_;
     std::vector<PrefetchCandidate> cand_buf_;
     std::uint64_t lru_clock_ = 0;
-    Cycle now_ = 0;
-    /** Quiet-cycle watermark: when now < next_ready_, tick(now) would be
-     *  a no-op (no fills pending, no spec issue or queue front due), so
-     *  tick() returns immediately. Pushed down by sendRead/sendWrite/
-     *  sendPrefetch/memReturn, recomputed at the end of a full tick. */
+    /** Quiet-cycle watermark: when now < next_ready_, tick(now) would
+     *  change nothing (no spec issue or queue front due, or only refused
+     *  work that no event has re-armed), so tick() returns immediately.
+     *  Pushed down by sendRead/sendWrite/sendPrefetch/memReturn/wake,
+     *  recomputed at the end of a full tick. */
     Cycle next_ready_ = 0;
 
     // Per-type hit/miss counters, indexed by AccessType.

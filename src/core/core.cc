@@ -383,9 +383,22 @@ Core::issueOneLoad(std::uint32_t slot, Cycle now)
         return true;
     }
 
+    // Settle the load's fate before acting on it: the TLB lookup, the
+    // off-chip prediction and the walk or L1D access happen once, when
+    // there is room for the request they lead to (the L1D read queue,
+    // or the walk target's for a walk not already in flight). A load
+    // refused here leaves no trace and retries next cycle.
+    const Addr vpn = pageNumber(vaddr);
+    if (ports_.tlbs->probe(vaddr)) {
+        if (!ports_.l1d->canAcceptRead())
+            return false;
+    } else if (walk_inflight_.find(vpn) == nullptr
+               && !ports_.walk_target->canAcceptRead()) {
+        return false;
+    }
+
     auto tr = ports_.tlbs->lookup(vaddr);
     if (tr.needs_walk) {
-        Addr vpn = pageNumber(vaddr);
         if (WalkInflight *w = walk_inflight_.find(vpn)) {
             // A walk for this page is already outstanding: piggyback by
             // appending this slot to the walk's intrusive waiter chain
@@ -406,8 +419,8 @@ Core::issueOneLoad(std::uint32_t slot, Cycle now)
         walk.requestor = this;
         walk.req_id = vpn;
         walk.birth = now + ports_.tlbs->missLatency();
-        if (!ports_.walk_target->sendRead(walk))
-            return false;   // retry next cycle
+        [[maybe_unused]] const bool sent = ports_.walk_target->sendRead(walk);
+        assert(sent && "canAcceptRead() promised room");
         walks_->add();
         walk_next_[slot] = -1;
         walk_serial_[slot] = rob_serial_[slot];
@@ -435,8 +448,8 @@ Core::issueOneLoad(std::uint32_t slot, Cycle now)
     pkt.requestor = this;
     pkt.req_id = rob_load_id_[slot];
     pkt.birth = now + (tr.latency > 0 ? tr.latency - 1 : 0);
-    if (!ports_.l1d->sendRead(pkt))
-        return false;   // L1D read queue full: retry
+    [[maybe_unused]] const bool sent = ports_.l1d->sendRead(pkt);
+    assert(sent && "canAcceptRead() promised room");
 
     if (d.spec_now && ports_.dram != nullptr) {
         Packet spec = pkt;

@@ -12,8 +12,9 @@
  *     DTLB/STLB (page walks become Translation reads into the L2) and
  *     access the L1D, stores commit their write at retire;
  *   - store-to-load forwarding via a pending-store address map;
- *   - the off-chip prediction hook: FLP/Hermes are consulted when a
- *     load's address is known; "immediate" decisions fire a speculative
+ *   - the off-chip prediction hook: FLP/Hermes are consulted once per
+ *     load, as it is sent to the L1D (translated, with room in the L1D
+ *     read queue); "immediate" decisions fire a speculative
  *     DRAM read from the core (6-cycle predictor latency), "delayed"
  *     decisions tag the demand packet for issue-on-L1D-miss; training
  *     runs when the *demand* response returns with the true serve level.

@@ -181,8 +181,10 @@ DramController::sendRead(const Packet &pkt)
         }
     }
 
-    if (read_q_.size() >= params_.rq_size)
+    if (read_q_.size() >= params_.rq_size) {
+        noteRefusal();
         return false;
+    }
     read_q_.push_back(   // tlpsim:cap (reserved rq_size)
         {pkt, pkt.birth, takeWaiterStorage()});
     sched_quiet_until_ = 0;   // new entry: its bank may be idle
@@ -193,8 +195,10 @@ DramController::sendRead(const Packet &pkt)
 bool
 DramController::sendWrite(const Packet &pkt)
 {
-    if (write_q_.size() >= params_.wq_size)
+    if (write_q_.size() >= params_.wq_size) {
+        noteRefusal();
         return false;
+    }
     // Writes complete silently and never collect waiters, so the empty
     // vector here never allocates.
     write_q_.push_back({pkt, pkt.birth, {}});   // tlpsim:cap (reserved)
@@ -232,6 +236,7 @@ DramController::scheduleOne(Cycle now, std::vector<QueueEntry> &queue,
 
     QueueEntry entry = std::move(queue[pick]);
     queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(pick));
+    wakeSenders(now);   // a queue entry freed
 
     Bank &bank = banks_[bankOf(entry.pkt.paddr)];
     Addr row = rowOf(entry.pkt.paddr);

@@ -51,6 +51,10 @@ class DramController : public MemoryBackend
 
     bool sendRead(const Packet &pkt) override;
     bool sendWrite(const Packet &pkt) override;
+    bool canAcceptRead() const override
+    {
+        return read_q_.size() < params_.rq_size;
+    }
     bool probe(Addr) const override { return false; }
     void tick(Cycle now) override;
 

@@ -7,6 +7,10 @@
  * (core → L1D → L2 → LLC → DRAM) through MemoryBackend::send*() and
  * responses flow *up* by invoking the requestor's memReturn() with a copy
  * carrying the final serve level.
+ *
+ * A refused send leaves no trace on either side, so a level whose due
+ * requests are all refused may sleep: the level below re-arms its
+ * registered senders (MemorySender::wake) when it frees room.
  */
 
 #ifndef TLPSIM_MEM_PACKET_HH
@@ -14,6 +18,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "common/types.hh"
 
@@ -99,32 +104,76 @@ class MemoryClient
     virtual void memReturn(const Packet &pkt) = 0;
 };
 
+/**
+ * A level that sends requests to a MemoryBackend and sleeps once every
+ * due request it holds was refused (a Cache). A direct virtual call,
+ * made only when a backend that refused someone frees room.
+ */
+class MemorySender
+{
+  public:
+    virtual ~MemorySender() = default;
+
+    /** Tick again no later than cycle @p at. */
+    virtual void wake(Cycle at) = 0;
+};
+
 /** Anything a cache (or core) can send requests to. */
 class MemoryBackend
 {
   public:
     virtual ~MemoryBackend() = default;
 
-    /** Enqueue a demand/translation read. False = queue full, retry. */
+    /** Enqueue a demand/translation read. False = refused, retry later.
+     *  A refusal changes no simulated state. */
     virtual bool sendRead(const Packet &pkt) = 0;
 
-    /** Enqueue a writeback/store. False = queue full, retry. */
+    /** Enqueue a writeback/store. False = refused, retry later. */
     virtual bool sendWrite(const Packet &pkt) = 0;
 
-    /** Enqueue a prefetch (lower priority). False = queue full. */
+    /** Enqueue a prefetch (lower priority). False = refused. */
     virtual bool sendPrefetch(const Packet &pkt) { return sendRead(pkt); }
 
-    /** May sendPrefetch() succeed right now? Capacity hint only: false
-     *  means sendPrefetch is guaranteed to fail this cycle, so a caller
-     *  retrying a blocked prefetch can skip building the packet. True
-     *  promises nothing (the default suits backends with merge paths). */
-    virtual bool canAcceptPrefetch() const { return true; }
+    /** Room for a read: true promises that sendRead() accepts this
+     *  cycle, so a caller can settle a request's fate before acting on
+     *  it. False is exact for a queue-only backend; one with merge paths
+     *  (DRAM) may still accept some reads. */
+    virtual bool canAcceptRead() const = 0;
 
     /** Tag-array presence check with no state change (oracle probes). */
     virtual bool probe(Addr paddr) const = 0;
 
     /** Advance one core clock. */
     virtual void tick(Cycle now) = 0;
+
+    /** Register a level that sends here. The list is fixed when the
+     *  system is built (L1D and L1I → L2, each L2 → LLC, LLC → DRAM). */
+    void addSender(MemorySender *s) { senders_.push_back(s); }
+
+  protected:
+    /** A send*() is about to return false. */
+    void noteRefusal() { refused_ = true; }
+
+    /**
+     * This backend freed a queue entry during its tick at @p now. If it
+     * refused anyone since the last wake, re-arm every sender for
+     * now + 1: senders tick before the levels they send to, so that is
+     * the first cycle a per-cycle retry would have succeeded, and
+     * sleeping stays bit-identical to retrying.
+     */
+    void
+    wakeSenders(Cycle now)
+    {
+        if (!refused_)
+            return;
+        refused_ = false;
+        for (MemorySender *s : senders_)
+            s->wake(now + 1);
+    }
+
+  private:
+    std::vector<MemorySender *> senders_;
+    bool refused_ = false;
 };
 
 } // namespace tlpsim

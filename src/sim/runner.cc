@@ -31,7 +31,10 @@ configKey(const SystemConfig &cfg)
     // defaults overlaid with the configured knobs — so two design points
     // that differ anywhere (a tau, a queue depth, a component default
     // that changed between builds) can never share a memoized result.
-    return cfg.effectiveConfig().serialize();
+    // The model revision re-keys every point when the model itself
+    // changes under an unchanged configuration.
+    return "model r" + std::to_string(kModelRevision) + "\n"
+        + cfg.effectiveConfig().serialize();
 }
 
 std::string

@@ -57,9 +57,18 @@ namespace tlpsim::experiment
 /** TLPSIM_JOBS (worker threads), default hardware_concurrency, min 1. */
 unsigned jobsFromEnv();
 
+/**
+ * Revision of the simulated model. configKey() carries it, so a result
+ * store or a Runner never serves a result an older model simulated for
+ * the same configuration. Bump it in every change that moves results.
+ * Revision 2: requests are accepted before they act, and count once.
+ */
+inline constexpr unsigned kModelRevision = 2;
+
 /** Fingerprint of every SystemConfig field the simulation depends on
  *  (the serialized SystemConfig::effectiveConfig dump, which expands
- *  each deployed component's declared knob defaults). */
+ *  each deployed component's declared knob defaults), under the model
+ *  revision that simulates it. */
 std::string configKey(const SystemConfig &cfg);
 
 /** The Runner key of a single-core design point — also the content

@@ -301,7 +301,15 @@ Simulator::build()
         ports.offchip = offchip_.back().get();
         ports.spec_observer = oracle_.get();
         cores_.push_back(std::make_unique<Core>(cp, ports, &stats_));
+
+        // The levels that send to each backend, re-armed when it frees
+        // room after refusing one of them. The core is not among them:
+        // it retries a refused load or fetch every cycle.
+        l2_.back()->addSender(l1d_.back().get());
+        l2_.back()->addSender(l1i_.back().get());
+        llc_->addSender(l2_.back().get());
     }
+    dram_->addSender(llc_.get());
 }
 
 void
@@ -361,8 +369,10 @@ Simulator::nextEventCycle()
     // Components were last ticked at cycle_ - 1 (step() post-increments).
     // Cheapest sources first (O(1) cache watermarks, then DRAM, then the
     // per-core scans), bailing out the moment the floor of now + 1 is
-    // reached: on busy cycles some cache almost always has work due next
-    // cycle, so the common case never pays for the core-side scan.
+    // reached: a busy cycle usually has some cache with work due next
+    // cycle, so it never pays for the core-side scan. A cache that only
+    // holds refused work sleeps (kCycleNever) until the level below
+    // wakes it, so a system waiting on DRAM skips.
     const Cycle now = cycle_ - 1;
     const Cycle lo = now + 1;
     Cycle e = llc_->nextEventCycle(now);

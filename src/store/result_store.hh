@@ -3,14 +3,14 @@
  * Crash-safe on-disk result store for design-point sweeps.
  *
  * A ResultStore maps the Runner's design-point key (the mix/workload
- * prefix plus the full SystemConfig::effectiveConfig dump, i.e.
- * experiment::configKey) to one *row*: a small text file holding the
- * key, a Config-serialized outcome (an ok row carries the full
- * SimResult, a failed row the structured failure), and a checksum.
+ * prefix plus experiment::configKey: the model revision and the full
+ * SystemConfig::effectiveConfig dump) to one *row*: a small text file
+ * holding the key, a Config-serialized outcome (an ok row carries the
+ * full SimResult, a failed row the structured failure), and a checksum.
  * Rows are content-addressed by a 64-bit FNV-1a fingerprint of the key,
  * so re-running any sweep only simulates points whose effective config
  * — including component knob *defaults*, which the fingerprint expands
- * — actually changed.
+ * — or whose model actually changed.
  *
  * Durability contract:
  *   - save() composes the whole row in memory, writes it to a

@@ -14,11 +14,11 @@ Tlb::Tlb(const Params &p, StatGroup *stats)
     assert(isPowerOfTwo(sets_));
 }
 
-Tlb::Entry *
-Tlb::find(Addr vpn)
+const Tlb::Entry *
+Tlb::find(Addr vpn) const
 {
     std::size_t set = vpn & (sets_ - 1);
-    Entry *base = &entries_[set * params_.ways];
+    const Entry *base = &entries_[set * params_.ways];
     for (unsigned w = 0; w < params_.ways; ++w) {
         if (base[w].valid && base[w].vpn == vpn)
             return &base[w];
@@ -37,6 +37,12 @@ Tlb::lookup(Addr vaddr)
     }
     misses_->add();
     return false;
+}
+
+bool
+Tlb::probe(Addr vaddr) const
+{
+    return find(pageNumber(vaddr)) != nullptr;
 }
 
 void

@@ -12,6 +12,7 @@
 #define TLPSIM_TLB_TLB_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/bitops.hh"
@@ -38,6 +39,9 @@ class Tlb
     /** Look up @p vaddr; fills hit latency and updates LRU. */
     bool lookup(Addr vaddr);
 
+    /** Presence check with no state change: no LRU update, no count. */
+    bool probe(Addr vaddr) const;
+
     /** Install a translation for @p vaddr (evicts LRU way). */
     void install(Addr vaddr);
 
@@ -52,7 +56,12 @@ class Tlb
         std::uint64_t lru = 0;
     };
 
-    Entry *find(Addr vpn);
+    const Entry *find(Addr vpn) const;
+    Entry *
+    find(Addr vpn)
+    {
+        return const_cast<Entry *>(std::as_const(*this).find(vpn));
+    }
 
     Params params_;
     unsigned sets_;
@@ -80,6 +89,14 @@ class TranslationStack
     TranslationStack(Tlb *dtlb, Tlb *stlb) : dtlb_(dtlb), stlb_(stlb) {}
 
     Result lookup(Addr vaddr);
+
+    /** Would lookup() translate @p vaddr without a walk? No state change,
+     *  so a caller can settle a load's fate before translating it. */
+    bool
+    probe(Addr vaddr) const
+    {
+        return dtlb_->probe(vaddr) || stlb_->probe(vaddr);
+    }
 
     /** Install in both levels after a completed walk. */
     void fill(Addr vaddr);

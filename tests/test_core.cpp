@@ -67,6 +67,7 @@ struct CoreRig
     {
         bool sendRead(const Packet &) override { return true; }
         bool sendWrite(const Packet &) override { return true; }
+        bool canAcceptRead() const override { return true; }
         bool probe(Addr) const override { return true; }
         void tick(Cycle) override {}
     } l1i_always_hit;
@@ -302,6 +303,88 @@ TEST(Core, TrainsOffchipOnDemandReturnOnly)
     EXPECT_GT(ostats.get("flp.train_correct")
                   + ostats.get("flp.train_wrong"),
               800u);
+}
+
+TEST(Core, LoadBlockedAtIssueIsPredictedAndTranslatedOnce)
+{
+    // One load whose page is in the STLB but not the DTLB, behind an
+    // L1D read queue that refuses it for 50 cycles. It is translated and
+    // predicted once, when the L1D can take it, so the DTLB miss plus
+    // STLB hit latency is charged to the access that finally issues.
+    StatGroup ostats("o");
+    OffChipPredictor::Params op;
+    op.policy = OffchipPolicy::Selective;
+    OffChipPredictor offchip(op, &ostats);
+
+    const Addr a = Addr{1} << 32;
+    Trace t = makeTrace([a](auto &rec) {
+        rec.load(a);
+        while (!rec.full())
+            rec.alu();
+    });
+    CoreRig rig(t, 4, &offchip, nullptr);
+    rig.stlb.install(a);
+    rig.l1d.reject_reads = true;
+
+    constexpr Cycle kRefused = 50;
+    auto predictions = [&] {
+        return ostats.get("flp.pred_offchip")
+            + ostats.get("flp.pred_onchip");
+    };
+    for (Cycle c = 0; c < kRefused; ++c) {
+        rig.core->tick(c);
+        rig.l1d.tick(c);
+    }
+    EXPECT_EQ(predictions(), 0u);
+    EXPECT_EQ(rig.stats.get("dtlb.hit") + rig.stats.get("dtlb.miss"), 0u);
+    EXPECT_TRUE(rig.l1d.reads.empty());
+
+    rig.l1d.freeRoom(kRefused - 1);
+    for (Cycle c = kRefused; c < kRefused + 5; ++c) {
+        rig.core->tick(c);
+        rig.l1d.tick(c);
+    }
+    EXPECT_EQ(predictions(), 1u);
+    EXPECT_EQ(rig.stats.get("dtlb.miss"), 1u);
+    EXPECT_EQ(rig.stats.get("dtlb.hit"), 0u);
+    EXPECT_EQ(rig.stats.get("stlb.hit"), 1u);
+    ASSERT_EQ(rig.l1d.reads.size(), 1u);
+    // Issued at kRefused; DTLB (1) + STLB (8) latency, less the cycle
+    // the L1D's own latency already covers.
+    EXPECT_EQ(rig.l1d.reads[0].birth, kRefused + 8);
+}
+
+TEST(Core, LoadBlockedOnItsWalkIsTranslatedOnce)
+{
+    // A TLB-missing load whose page walk the walk target refuses for 50
+    // cycles looks the TLBs up once, when the walk can be sent.
+    const Addr a = Addr{1} << 32;
+    Trace t = makeTrace([a](auto &rec) {
+        rec.load(a);
+        while (!rec.full())
+            rec.alu();
+    });
+    CoreRig rig(t);
+    rig.walk.reject_reads = true;
+
+    constexpr Cycle kRefused = 50;
+    for (Cycle c = 0; c < kRefused; ++c) {
+        rig.core->tick(c);
+        rig.walk.tick(c);
+    }
+    EXPECT_EQ(rig.stats.get("dtlb.miss") + rig.stats.get("stlb.miss"), 0u);
+    EXPECT_TRUE(rig.walk.reads.empty());
+
+    rig.walk.freeRoom(kRefused - 1);
+    for (Cycle c = kRefused; c < kRefused + 5; ++c) {
+        rig.core->tick(c);
+        rig.walk.tick(c);
+    }
+    EXPECT_EQ(rig.stats.get("dtlb.miss"), 1u);
+    EXPECT_EQ(rig.stats.get("stlb.miss"), 1u);
+    EXPECT_EQ(rig.stats.get("cpu0.page_walks"), 1u);
+    ASSERT_EQ(rig.walk.reads.size(), 1u);
+    EXPECT_EQ(rig.walk.reads[0].birth, kRefused + 9);
 }
 
 TEST(Core, RetiredMonotonicAndExact)

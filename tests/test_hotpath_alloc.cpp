@@ -124,18 +124,19 @@ pickWorkload(const char *name)
 }
 
 /** Steady-state allocations per `steps` simulated cycles under
- *  `scheme` on `workload`, after `warmup_steps` cycles of warmup. */
+ *  `scheme` on `cores` copies of `workload`, after `warmup_steps`
+ *  cycles of warmup. */
 std::uint64_t
 steadyStateAllocs(const char *workload, const SchemeConfig &scheme,
-                  unsigned warmup_steps, unsigned steps)
+                  unsigned warmup_steps, unsigned steps, unsigned cores = 1)
 {
     constexpr std::uint64_t kTraceInstrs = 4000;
     Trace trace = workloads::buildTrace(pickWorkload(workload),
                                         kTraceInstrs, /*seed=*/1);
 
-    SystemConfig cfg = SystemConfig::cascadeLake(1);
+    SystemConfig cfg = SystemConfig::cascadeLake(cores);
     cfg.scheme = scheme;
-    Simulator sim(cfg, std::vector<const Trace *>{&trace});
+    Simulator sim(cfg, std::vector<const Trace *>(cores, &trace));
 
     // Warmup: reach every high-water mark. The trace repeats
     // cyclically, so this covers its full footprint several times.
@@ -186,6 +187,18 @@ TEST(HotPathAlloc, GraphWorkloadSteadyStateIsAllocationFree)
     EXPECT_EQ(steadyStateAllocs("bfs.kron", SchemeConfig::fromName("tlp"),
                                 400'000, 100'000),
               0u);
+}
+
+TEST(HotPathAlloc, SaturatedMultiCoreMixSteadyStateIsAllocationFree)
+{
+    // Four pr.kron copies saturate the shared DRAM: caches refuse, sleep
+    // and are woken all the time, and that path must not allocate either.
+    for (const char *scheme : {"baseline", "tlp"}) {
+        EXPECT_EQ(steadyStateAllocs("pr.kron", SchemeConfig::fromName(scheme),
+                                    400'000, 100'000, 4),
+                  0u)
+            << scheme;
+    }
 }
 
 } // namespace

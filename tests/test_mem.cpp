@@ -211,6 +211,9 @@ TEST(Cache, MshrLimitStallsRq)
     runFor(0, 50, c, lower);
     EXPECT_EQ(lower.reads.size(), 2u);   // capped by MSHRs
     EXPECT_EQ(c.mshrsInUse(), 2u);
+    // The two loads refused for want of an MSHR are not counted yet.
+    EXPECT_EQ(stats.get("c.load_miss"), 2u);
+    EXPECT_EQ(c.nextEventCycle(49), kCycleNever);   // asleep until a fill
 }
 
 TEST(Cache, LruEviction)
@@ -408,6 +411,189 @@ TEST(Cache, DelayedSpecIssuedOnFlaggedLoadMiss)
     c.sendRead(ld2);
     runFor(70, 20, c, lower, dram);
     EXPECT_EQ(stats.get("c.spec_delayed_issued"), 1u);
+}
+
+// --- Refused requests: acceptance first, then sleep until room frees ---------
+
+namespace
+{
+
+/** Cycles the lower level refuses for in the tests below. */
+constexpr Cycle kRefuseCycles = 50;
+
+/** From cycle @p start, tick @p c and @p lower for kRefuseCycles while
+ *  the lower level refuses everything, checking that the cache sleeps
+ *  once its due work is all refused; then let the lower level free room
+ *  during its last tick. Returns the first cycle after the refusal. */
+template <typename... Units>
+Cycle
+refuseThenFree(Cycle start, Cache &c, MockBackend &lower, Units &...others)
+{
+    lower.reject_reads = lower.reject_writes = lower.reject_prefetches
+        = true;
+    const Cycle end = start + kRefuseCycles;
+    for (Cycle t = start; t < end; ++t) {
+        runFor(t, 1, c, lower, others...);
+        if (t >= start + 10) {
+            EXPECT_EQ(c.nextEventCycle(t), kCycleNever)
+                << "a cache whose due work is all refused sleeps (t=" << t
+                << ")";
+        }
+    }
+    lower.freeRoom(end - 1);
+    EXPECT_EQ(c.nextEventCycle(end - 1), end);
+    return end;
+}
+
+/** Counts the accesses a prefetcher is trained on. */
+struct CountingPrefetcher : Prefetcher
+{
+    const char *name() const override { return "counting"; }
+    void
+    onAccess(const PrefetchTrigger &, std::vector<PrefetchCandidate> &)
+        override
+    {
+        ++accesses;
+    }
+    int accesses = 0;
+};
+
+} // namespace
+
+TEST(Cache, RefusedRequestsCountOneMissAndGoWhenRoomFrees)
+{
+    // A read, a store and a prefetch all miss over a lower level that
+    // refuses them for kRefuseCycles. None is counted while refused;
+    // each counts one miss when accepted, in the cycle after the lower
+    // level frees room.
+    StatGroup stats("t");
+    MockBackend lower(20);
+    Cache c(smallCache(), &lower, &stats);
+    lower.addSender(&c);
+    MockClient client;
+
+    ASSERT_TRUE(c.sendRead(makeLoad(0x1000, &client, 0)));
+    Packet st = makeLoad(0x2000, nullptr, 0);
+    st.type = AccessType::Rfo;
+    ASSERT_TRUE(c.sendWrite(st));
+    Packet pf = makeLoad(0x3000, nullptr, 0);
+    pf.type = AccessType::Prefetch;
+    ASSERT_TRUE(c.sendPrefetch(pf));
+
+    const Cycle t = refuseThenFree(0, c, lower);
+    EXPECT_EQ(stats.get("c.load_miss"), 0u);
+    EXPECT_EQ(stats.get("c.rfo_miss"), 0u);
+    EXPECT_EQ(stats.get("c.pf_miss"), 0u);
+
+    runFor(t, 40, c, lower);
+    EXPECT_EQ(stats.get("c.load_miss"), 1u);
+    EXPECT_EQ(stats.get("c.rfo_miss"), 1u);
+    EXPECT_EQ(stats.get("c.pf_miss"), 1u);
+    ASSERT_EQ(lower.reads.size(), 2u);   // the load and the RFO
+    EXPECT_EQ(lower.reads[0].birth, t);
+    EXPECT_EQ(lower.reads[1].birth, t);
+    ASSERT_EQ(lower.prefetches.size(), 1u);
+    EXPECT_EQ(lower.prefetches[0].birth, t);
+    EXPECT_EQ(client.returns.size(), 1u);
+}
+
+TEST(Cache, RefusedFlaggedLoadIssuesOneDelayedSpec)
+{
+    // An FLP-flagged load refused below issues its delayed speculative
+    // DRAM read, and calls the Fig. 4 oracle, once: on acceptance.
+    StatGroup stats("t");
+    MockBackend lower(30);
+    DramController::Params dp;
+    dp.name = "dram";
+    DramController dram(dp, &stats);
+    Cache::Params p = smallCache();
+    p.spec_dram = &dram;
+    struct CountingObserver : SpecIssueObserver
+    {
+        int calls = 0;
+        void onSpecIssued(const Packet &) override { ++calls; }
+    } observer;
+    p.spec_observer = &observer;
+    Cache c(p, &lower, &stats);
+    lower.addSender(&c);
+    MockClient client;
+
+    Packet ld = makeLoad(0x1000, &client, 0);
+    ld.delayed_offchip_flag = true;
+    ASSERT_TRUE(c.sendRead(ld));
+    const Cycle t = refuseThenFree(0, c, lower, dram);
+    EXPECT_EQ(stats.get("c.spec_delayed_issued"), 0u);
+    EXPECT_EQ(observer.calls, 0);
+
+    runFor(t, 60, c, lower, dram);
+    EXPECT_EQ(stats.get("c.spec_delayed_issued"), 1u);
+    EXPECT_EQ(stats.get("dram.spec_issued"), 1u);
+    EXPECT_EQ(observer.calls, 1);
+    ASSERT_EQ(lower.reads.size(), 1u);
+    EXPECT_EQ(lower.reads[0].birth, t);
+}
+
+TEST(Cache, PrefetchFromAboveTrainsOnceWhenAccepted)
+{
+    // A prefetch arriving at the L2 from the L1D trains the L2's
+    // prefetcher (ChampSim semantics) once, however long the level
+    // below refuses it.
+    StatGroup stats("t");
+    MockBackend lower(20);
+    CountingPrefetcher counting;
+    Cache::Params p = smallCache("l2", 2);
+    p.prefetcher = &counting;
+    Cache l2(p, &lower, &stats);
+    lower.addSender(&l2);
+    MockClient l1d;
+
+    Packet pf = makeLoad(0x3000, &l1d, 0);
+    pf.type = AccessType::Prefetch;
+    pf.fill_level = 1;
+    ASSERT_TRUE(l2.sendPrefetch(pf));
+    const Cycle t = refuseThenFree(0, l2, lower);
+    EXPECT_EQ(counting.accesses, 0);
+    EXPECT_EQ(stats.get("l2.pf_miss"), 0u);
+
+    runFor(t, 40, l2, lower);
+    EXPECT_EQ(counting.accesses, 1);
+    EXPECT_EQ(stats.get("l2.pf_miss"), 1u);
+    ASSERT_EQ(lower.prefetches.size(), 1u);
+    EXPECT_EQ(lower.prefetches[0].birth, t);
+    EXPECT_EQ(l1d.returns.size(), 1u);
+}
+
+TEST(Cache, RefusedWritebackMissAllocatesOnce)
+{
+    // A writeback missing here allocates without a fetch, but its
+    // victim is dirty and the lower write queue refuses the eviction:
+    // the miss is counted once, when the install goes through.
+    StatGroup stats("t");
+    MockBackend lower(10);
+    Cache::Params p = smallCache("l2", 2);
+    p.sets = 1;
+    p.ways = 1;
+    Cache c(p, &lower, &stats);
+    lower.addSender(&c);
+
+    Packet wb = makeLoad(0x5000, nullptr, 0);
+    wb.type = AccessType::Writeback;
+    ASSERT_TRUE(c.sendWrite(wb));
+    runFor(0, 10, c, lower);   // 0x5000 now resident and dirty
+    ASSERT_EQ(stats.get("l2.wb_miss"), 1u);
+
+    Packet wb2 = makeLoad(0x6000, nullptr, 10);
+    wb2.type = AccessType::Writeback;
+    ASSERT_TRUE(c.sendWrite(wb2));
+    const Cycle t = refuseThenFree(10, c, lower);
+    EXPECT_EQ(stats.get("l2.wb_miss"), 1u);
+    EXPECT_FALSE(c.probe(0x6000));
+
+    runFor(t, 10, c, lower);
+    EXPECT_EQ(stats.get("l2.wb_miss"), 2u);
+    ASSERT_EQ(lower.writes.size(), 1u);   // the dirty victim, once
+    EXPECT_EQ(lower.writes[0].birth, t);
+    EXPECT_TRUE(c.probe(0x6000));
 }
 
 // --- DRAM ---------------------------------------------------------------------

@@ -37,6 +37,24 @@ tinyWorkload(const char *name)
     return specs.front();
 }
 
+/** Four copies of one tiny workload on four cores. */
+workloads::Mix
+homogeneousMix(const char *name)
+{
+    static auto specs
+        = workloads::singleCoreWorkloads(workloads::SetSize::Tiny);
+    workloads::Mix mix;
+    mix.name = std::string("4x") + name;
+    mix.homogeneous = true;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        if (specs[i].name == name) {
+            mix.suite = specs[i].suite;
+            mix.workload_index.assign(4, static_cast<int>(i));
+        }
+    }
+    return mix;
+}
+
 } // namespace
 
 TEST(Simulator, RunsToCompletion)
@@ -433,6 +451,70 @@ TEST(Simulator, IdleSkipBitIdenticalOnMultiCoreMix)
     EXPECT_EQ(a.window_cycles, b.window_cycles);
     EXPECT_EQ(a.warmup_end_cycle, b.warmup_end_cycle);
     EXPECT_EQ(a.ipc, b.ipc);
+
+    // A DRAM-saturated 4-core homogeneous mix, where caches sleep behind
+    // refused requests and the skip jumps over their waits.
+    const workloads::Mix saturated = homogeneousMix("pr.kron");
+    for (const char *scheme : {"baseline", "tlp"}) {
+        SystemConfig sat_on = tinyConfig(4);
+        sat_on.sim_instrs = 20'000;
+        sat_on.scheme = SchemeConfig::fromName(scheme);
+        SystemConfig sat_off = sat_on;
+        sat_off.idle_skip = false;
+        SimResult c = runMix(specs, saturated, sat_on);
+        SimResult d = runMix(specs, saturated, sat_off);
+        EXPECT_EQ(c.stats, d.stats) << scheme;
+        EXPECT_EQ(c.window_cycles, d.window_cycles) << scheme;
+        EXPECT_EQ(c.warmup_end_cycle, d.warmup_end_cycle) << scheme;
+        EXPECT_EQ(c.ipc, d.ipc) << scheme;
+    }
+}
+
+TEST(Simulator, SaturatedMixPredictsAndLooksUpEachLoadOnce)
+{
+    // Four pr.kron copies under TLP saturate the shared DRAM, so every
+    // level refuses requests. Whole-run counter totals (the StatGroup,
+    // not the windowed result) must still show one FLP prediction and
+    // one L1D lookup per load, at most one delayed speculative read per
+    // delayed decision, and one oracle call per speculative issue.
+    Trace trace = workloads::buildTrace(tinyWorkload("pr.kron"), 40'000, 1);
+    SystemConfig cfg = tinyConfig(4);
+    cfg.sim_instrs = 20'000;
+    cfg.scheme = SchemeConfig::fromName("tlp");
+    Simulator sim(cfg, std::vector<const Trace *>(4, &trace));
+    const SimResult r = sim.run();
+    ASSERT_FALSE(r.hit_cycle_cap);
+
+    // Window-edge slack: a load is predicted when it issues and looked
+    // up at least the L1D latency later, so when the run stops up to one
+    // L1D read queue of predicted loads still await their lookup.
+    const std::uint64_t slack = cfg.l1d.rq_size;
+    const StatGroup &st = sim.stats();
+    std::uint64_t spec_issues = 0;
+    for (unsigned c = 0; c < 4; ++c) {
+        const std::string cpu = "cpu" + std::to_string(c) + ".";
+        const std::uint64_t predictions = st.get(cpu + "flp.pred_offchip")
+            + st.get(cpu + "flp.pred_onchip");
+        const std::uint64_t lookups
+            = st.get(cpu + "l1d.load_hit") + st.get(cpu + "l1d.load_miss");
+        EXPECT_GT(lookups, 0u) << cpu;
+        EXPECT_GE(predictions, lookups) << cpu;
+        EXPECT_LE(predictions, lookups + slack) << cpu;
+        const std::uint64_t delayed = st.get(cpu + "flp.delayed");
+        const std::uint64_t delayed_issued
+            = st.get(cpu + "l1d.spec_delayed_issued");
+        EXPECT_GT(delayed_issued, 0u) << cpu;
+        EXPECT_LE(delayed_issued, delayed + slack) << cpu;
+        spec_issues += delayed_issued + st.get(cpu + "spec_from_core");
+    }
+    EXPECT_EQ(st.get("oracle.spec_block_in_l1d")
+                  + st.get("oracle.spec_block_in_l2c")
+                  + st.get("oracle.spec_block_in_llc")
+                  + st.get("oracle.spec_block_in_dram"),
+              spec_issues);
+    // Saturated: the data bus is busy for over 90 % of the run.
+    EXPECT_GT(st.get("dram.transactions") * cfg.burstCycles() * 10,
+              sim.cycle() * 9);
 }
 
 TEST(Simulator, DramWaitAdvancesClockInOneStep)

@@ -365,6 +365,31 @@ TEST(RunnerStore, WarmStoreServesGridBitIdenticalWithoutSimulating)
     }
 }
 
+TEST(RunnerStore, RowFromAnOlderModelIsNotServed)
+{
+    // A row keyed by the bare effective-config dump — the key every
+    // build before the model revision wrote — is a miss: the model
+    // changed under the same configuration, so the point re-simulates.
+    const auto ws = workloads::singleCoreWorkloads(workloads::SetSize::Tiny);
+    const SystemConfig cfg = tinyConfig();
+    const std::string dir = freshDir("older_model");
+    {
+        ResultStore old_build(dir);
+        Config row = simResultToConfig(sampleResult());
+        row.set(kStatusKey, kStatusOk);
+        old_build.save("1c|" + ws[0].pointName() + "|"
+                           + cfg.effectiveConfig().serialize(),
+                       row);
+    }
+    StorePolicy policy;
+    policy.store = std::make_shared<ResultStore>(dir);
+    Runner r(1, std::move(policy));
+    const SimResult &res = r.single(ws[0], cfg);
+    EXPECT_EQ(r.storeHitCount(), 0u);
+    EXPECT_EQ(r.simulatedCount(), 1u);
+    EXPECT_EQ(res.scheme, "baseline");
+}
+
 TEST(RunnerStore, WatchdogTimeoutBecomesFailureRowThenRetriesLater)
 {
     std::string dir = freshDir("watchdog");

@@ -17,7 +17,9 @@ namespace tlpsim::test
 
 /**
  * A backend that records everything sent to it and can answer reads after
- * a fixed latency, tagging them with a chosen serve level.
+ * a fixed latency, tagging them with a chosen serve level. The reject_*
+ * flags make it refuse like a full queue; freeRoom() ends the refusal
+ * the way a real level does, waking its registered senders.
  */
 class MockBackend : public MemoryBackend
 {
@@ -30,8 +32,10 @@ class MockBackend : public MemoryBackend
     bool
     sendRead(const Packet &pkt) override
     {
-        if (reject_reads)
+        if (reject_reads) {
+            noteRefusal();
             return false;
+        }
         reads.push_back(pkt);
         pending_.push_back({pkt, pkt.birth + latency_});
         return true;
@@ -40,8 +44,10 @@ class MockBackend : public MemoryBackend
     bool
     sendWrite(const Packet &pkt) override
     {
-        if (reject_writes)
+        if (reject_writes) {
+            noteRefusal();
             return false;
+        }
         writes.push_back(pkt);
         return true;
     }
@@ -49,14 +55,27 @@ class MockBackend : public MemoryBackend
     bool
     sendPrefetch(const Packet &pkt) override
     {
-        if (reject_prefetches)
+        if (reject_prefetches) {
+            noteRefusal();
             return false;
+        }
         prefetches.push_back(pkt);
         pending_.push_back({pkt, pkt.birth + latency_});
         return true;
     }
 
+    bool canAcceptRead() const override { return !reject_reads; }
+
     bool probe(Addr) const override { return false; }
+
+    /** Stop refusing, as a level that frees room during its tick at
+     *  @p now: senders it refused retry from now + 1. */
+    void
+    freeRoom(Cycle now)
+    {
+        reject_reads = reject_writes = reject_prefetches = false;
+        wakeSenders(now);
+    }
 
     void
     tick(Cycle now) override
