@@ -62,8 +62,10 @@ unsigned jobsFromEnv();
  * store or a Runner never serves a result an older model simulated for
  * the same configuration. Bump it in every change that moves results.
  * Revision 2: requests are accepted before they act, and count once.
+ * Revision 3: the parallel graph build grew graph.cc, which moved every
+ * recorded GAP PC (README "Bounded memory and determinism").
  */
-inline constexpr unsigned kModelRevision = 2;
+inline constexpr unsigned kModelRevision = 3;
 
 /** Fingerprint of every SystemConfig field the simulation depends on
  *  (the serialized SystemConfig::effectiveConfig dump, which expands

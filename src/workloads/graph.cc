@@ -1,12 +1,16 @@
 #include "workloads/graph.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <condition_variable>
 #include <iterator>
 #include <map>
 #include <mutex>
+#include <system_error>
+#include <thread>
 #include <tuple>
+#include <utility>
 
 #include "common/rng.hh"
 
@@ -60,7 +64,86 @@ toString(GraphKind k)
 namespace
 {
 
-using EdgeList = std::vector<std::pair<Vertex, Vertex>>;
+struct Edge
+{
+    Vertex u;
+    Vertex v;
+};
+
+/** A generated edge list, in generation order. Self-loops may be left
+ *  in; buildCsr drops them. */
+struct EdgeList
+{
+    explicit EdgeList(std::uint64_t capacity)
+        : buf(std::make_unique_for_overwrite<Edge[]>(capacity)),
+          size(capacity)
+    {}
+
+    std::unique_ptr<Edge[]> buf;
+    std::uint64_t size;
+};
+
+unsigned
+hardwareThreads()
+{
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
+/**
+ * Run fn(0) ... fn(count - 1) on up to hardwareThreads() threads, the
+ * calling one included. Which thread runs an index depends on the host,
+ * so fn's effects must not. If the host refuses a thread, those already
+ * running finish the work. fn should not allocate: a helper thread that
+ * does gets a glibc arena of its own, which stays resident.
+ */
+template <typename Fn>
+void
+parallelFor(std::size_t count, const Fn &fn)
+{
+    std::atomic<std::size_t> next{0};
+    auto work = [&] {
+        for (std::size_t i = next++; i < count; i = next++)
+            fn(i);
+    };
+    const std::size_t threads = std::min<std::size_t>(hardwareThreads(),
+                                                      count);
+    std::vector<std::jthread> helpers;   // joined on return
+    for (std::size_t t = 1; t < threads; ++t) {
+        try {
+            helpers.emplace_back(work);
+        } catch (const std::system_error &) {
+            break;
+        }
+    }
+    work();
+}
+
+/** Chunks an edge-drawing generator splits its edges into. A constant,
+ *  so where a chunk starts depends only on the edge count. */
+constexpr std::size_t kEdgeChunks = 64;
+
+/**
+ * Draw @p num_edges edges of @p draws_per_edge draws each with
+ * draw(rng). Chunk c of consecutive edges starts from the state the
+ * serial loop reaches at its first edge (Rng::discard), so the list is
+ * exactly the serial loop's.
+ */
+template <typename Draw>
+EdgeList
+drawEdges(const Rng &rng, std::uint64_t num_edges,
+          unsigned draws_per_edge, const Draw &draw)
+{
+    EdgeList edges(num_edges);
+    parallelFor(kEdgeChunks, [&](std::size_t c) {
+        const std::uint64_t begin = num_edges * c / kEdgeChunks;
+        const std::uint64_t end = num_edges * (c + 1) / kEdgeChunks;
+        Rng chunk_rng = rng;
+        chunk_rng.discard(begin * draws_per_edge);
+        for (std::uint64_t i = begin; i < end; ++i)
+            edges.buf[i] = draw(chunk_rng);
+    });
+    return edges;
+}
 
 /**
  * Integer form of a Rng::uniform() threshold. uniform() returns exactly
@@ -82,19 +165,17 @@ uniformBound(double t)
  * exactly those of uniform() compared against a, a + b and a + b + c.
  */
 EdgeList
-genRmat(Rng &rng, unsigned scale, std::uint64_t num_edges, double a,
+genRmat(const Rng &rng, unsigned scale, std::uint64_t num_edges, double a,
         double b, double c)
 {
     const std::uint64_t t_a = uniformBound(a);
     const std::uint64_t t_ab = uniformBound(a + b);
     const std::uint64_t t_abc = uniformBound(a + b + c);
-    EdgeList edges;
-    edges.reserve(num_edges);
-    for (std::uint64_t i = 0; i < num_edges; ++i) {
+    return drawEdges(rng, num_edges, scale, [=](Rng &r) {
         Vertex src = 0;
         Vertex dst = 0;
         for (unsigned bit = 0; bit < scale; ++bit) {
-            const std::uint64_t k = rng.next() >> 11;
+            const std::uint64_t k = r.next() >> 11;
             const auto ge_a = static_cast<Vertex>(k >= t_a);
             const auto ge_ab = static_cast<Vertex>(k >= t_ab);
             const auto ge_abc = static_cast<Vertex>(k >= t_abc);
@@ -103,36 +184,31 @@ genRmat(Rng &rng, unsigned scale, std::uint64_t num_edges, double a,
             src |= ge_ab << bit;
             dst |= ((ge_a ^ ge_ab) | ge_abc) << bit;
         }
-        if (src != dst)
-            edges.emplace_back(src, dst);
-    }
-    return edges;
+        return Edge{src, dst};
+    });
 }
 
 EdgeList
-genUrand(Rng &rng, Vertex n, std::uint64_t num_edges)
+genUrand(const Rng &rng, Vertex n, std::uint64_t num_edges)
 {
-    EdgeList edges;
-    edges.reserve(num_edges);
-    for (std::uint64_t i = 0; i < num_edges; ++i) {
-        auto u = static_cast<Vertex>(rng.below(n));
-        auto v = static_cast<Vertex>(rng.below(n));
-        if (u != v)
-            edges.emplace_back(u, v);
-    }
-    return edges;
+    return drawEdges(rng, num_edges, 2, [n](Rng &r) {
+        // Braced initializers are evaluated in order: u draws first.
+        return Edge{static_cast<Vertex>(r.below(n)),
+                    static_cast<Vertex>(r.below(n))};
+    });
 }
 
 /**
  * Preferential attachment (web-like): each new vertex links to d targets
  * sampled from the endpoint pool, producing a power-law with the spatial
- * locality of crawl order.
+ * locality of crawl order. Each draw depends on the pool the previous
+ * ones built, so this generator is serial.
  */
 EdgeList
 genWeb(Rng &rng, Vertex n, unsigned d)
 {
-    EdgeList edges;
-    edges.reserve(static_cast<std::uint64_t>(n) * d);
+    EdgeList edges(static_cast<std::uint64_t>(n) * d);
+    std::uint64_t kept = 0;
     std::vector<Vertex> pool;
     pool.reserve(static_cast<std::uint64_t>(n) * d * 2);
     pool.push_back(0);
@@ -140,12 +216,13 @@ genWeb(Rng &rng, Vertex n, unsigned d)
         for (unsigned k = 0; k < d; ++k) {
             Vertex target = pool[rng.below(pool.size())];
             if (target != v) {
-                edges.emplace_back(v, target);
+                edges.buf[kept++] = {v, target};
                 pool.push_back(target);
             }
             pool.push_back(v);
         }
     }
+    edges.size = kept;
     return edges;
 }
 
@@ -164,15 +241,15 @@ EdgeList
 genRoad(Rng &rng, Vertex side)
 {
     Vertex n = side * side;
-    EdgeList edges;
-    edges.reserve(static_cast<std::uint64_t>(n) * 2 + n / 16);
+    EdgeList edges(static_cast<std::uint64_t>(n) * 2 + n / 16);
+    std::uint64_t kept = 0;
     for (Vertex y = 0; y < side; ++y) {
         for (Vertex x = 0; x < side; ++x) {
             Vertex v = y * side + x;
             if (x + 1 < side)
-                edges.emplace_back(v, v + 1);
+                edges.buf[kept++] = {v, v + 1};
             if (y + 1 < side)
-                edges.emplace_back(v, v + side);
+                edges.buf[kept++] = {v, v + side};
         }
     }
     // Highways: a few long-range links, as in real road networks.
@@ -180,29 +257,62 @@ genRoad(Rng &rng, Vertex side)
         auto u = static_cast<Vertex>(rng.below(n));
         auto v = static_cast<Vertex>(rng.below(n));
         if (u != v)
-            edges.emplace_back(u, v);
+            edges.buf[kept++] = {u, v};
     }
+    edges.size = kept;
     return edges;
 }
 
-/** Symmetrize an edge list and pack it into CSR form. */
+/** Most vertex ranges buildCsr splits into. Every range reads the whole
+ *  edge list, so past a few ranges the extra reads cost more than
+ *  splitting the writes saves. */
+constexpr std::size_t kMaxCsrRanges = 8;
+
+/**
+ * Symmetrize an edge list, without its self-loops, and pack it into
+ * CSR form. Each thread owns one range of vertices and scans every edge
+ * in order, so every adjacency list holds its neighbours in edge order,
+ * whatever the number of ranges.
+ */
 Graph
 buildCsr(Vertex n, const EdgeList &edges)
 {
     Graph g;
     g.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-    for (const auto &[u, v] : edges) {
-        ++g.offsets[u + 1];
-        ++g.offsets[v + 1];
-    }
-    for (std::size_t i = 1; i < g.offsets.size(); ++i)
-        g.offsets[i] += g.offsets[i - 1];
-    g.neighbors.resize(g.offsets.back());
-    std::vector<std::uint64_t> cursor(g.offsets.begin(), g.offsets.end() - 1);
-    for (const auto &[u, v] : edges) {
-        g.neighbors[cursor[u]++] = v;
-        g.neighbors[cursor[v]++] = u;
-    }
+    // cursor[v] is offsets[v + 1]: v's degree after the count, v's begin
+    // after the prefix sum, and v's end, its final value, after the
+    // scatter.
+    std::uint64_t *const cursor = g.offsets.data() + 1;
+    const std::size_t ranges
+        = std::min<std::size_t>(hardwareThreads(), kMaxCsrRanges);
+    // fn(v, w) for every endpoint v that range r owns, w being the
+    // edge's other end, in edge order.
+    auto forEachOwned = [&](std::size_t r, const auto &fn) {
+        const auto lo = static_cast<Vertex>(std::uint64_t{n} * r / ranges);
+        const auto span
+            = static_cast<Vertex>(std::uint64_t{n} * (r + 1) / ranges) - lo;
+        const Edge *const end = edges.buf.get() + edges.size;
+        for (const Edge *e = edges.buf.get(); e != end; ++e) {
+            if (e->u == e->v)
+                continue;
+            // One unsigned compare: v - lo wraps past span when v < lo.
+            if (e->u - lo < span)
+                fn(e->u, e->v);
+            if (e->v - lo < span)
+                fn(e->v, e->u);
+        }
+    };
+    parallelFor(ranges, [&](std::size_t r) {
+        forEachOwned(r, [&](Vertex v, Vertex) { ++cursor[v]; });
+    });
+    std::uint64_t total = 0;
+    for (Vertex v = 0; v < n; ++v)
+        total += std::exchange(cursor[v], total);
+    g.neighbors.resize(total);
+    Vertex *const out = g.neighbors.data();
+    parallelFor(ranges, [&](std::size_t r) {
+        forEachOwned(r, [&](Vertex v, Vertex w) { out[cursor[v]++] = w; });
+    });
     return g;
 }
 
@@ -219,26 +329,20 @@ makeGraph(GraphKind kind, unsigned scale, unsigned avg_degree,
     // draw n*d/2 undirected edges.
     std::uint64_t num_edges = (static_cast<std::uint64_t>(n) * avg_degree) / 2;
 
-    EdgeList edges;
     switch (kind) {
       case GraphKind::Kron:
-        edges = genRmat(rng, scale, num_edges, 0.57, 0.19, 0.19);
-        break;
+        return buildCsr(n, genRmat(rng, scale, num_edges, 0.57, 0.19, 0.19));
       case GraphKind::Twitter:
-        edges = genRmat(rng, scale, num_edges, 0.62, 0.17, 0.17);
-        break;
+        return buildCsr(n, genRmat(rng, scale, num_edges, 0.62, 0.17, 0.17));
       case GraphKind::Web:
-        edges = genWeb(rng, n, std::max(1u, avg_degree / 2));
-        break;
+        return buildCsr(n, genWeb(rng, n, std::max(1u, avg_degree / 2)));
       case GraphKind::Urand:
-        edges = genUrand(rng, n, num_edges);
-        break;
+        return buildCsr(n, genUrand(rng, n, num_edges));
       case GraphKind::Road:
         n = roadSide(n) * roadSide(n);   // grid must be square
-        edges = genRoad(rng, roadSide(n));
-        break;
+        return buildCsr(n, genRoad(rng, roadSide(n)));
     }
-    return buildCsr(n, edges);
+    return {};
 }
 
 namespace

@@ -67,7 +67,13 @@ const char *toString(GraphKind k);
 
 /**
  * Build a graph of roughly 2^scale vertices and avg_degree directed edges
- * per vertex (after symmetrization). Deterministic in @p seed.
+ * per vertex (after symmetrization). Deterministic in @p seed alone: the
+ * build runs on every hardware thread, and its result is bit for bit
+ * that of one thread. Kron, Twitter and Urand draw their edges in a
+ * fixed number of chunks, each starting from the generator state one
+ * serial loop would reach there (Rng::discard); Web and Road draw
+ * serially. The CSR build splits by vertex range, and each adjacency
+ * list keeps edge order.
  */
 Graph makeGraph(GraphKind kind, unsigned scale, unsigned avg_degree,
                 std::uint64_t seed);

@@ -137,6 +137,35 @@ TEST(Rng, UniformInUnitInterval)
     EXPECT_NEAR(sum / 10'000.0, 0.5, 0.02);
 }
 
+TEST(Rng, DiscardEqualsStepping)
+{
+    for (std::uint64_t seed : {1ULL, 42ULL, 0x9e3779b97f4a7c15ULL}) {
+        for (std::uint64_t n :
+             {0ULL, 1ULL, 63ULL, 64ULL, 65ULL, 1'000'003ULL}) {
+            Rng skipped(seed);
+            Rng stepped(seed);
+            skipped.discard(n);
+            for (std::uint64_t i = 0; i < n; ++i)
+                stepped.next();
+            EXPECT_TRUE(skipped == stepped) << "seed " << seed << ", n " << n;
+            EXPECT_EQ(skipped.next(), stepped.next());
+        }
+    }
+}
+
+TEST(Rng, CharPolyGivesThePublishedJump)
+{
+    // The xoshiro256 authors' jump() advances 2^128 draws as discard()
+    // does, by x^(2^128) mod P; their published JUMP constants are its
+    // coefficients.
+    Rng::Poly p{2, 0, 0, 0};   // x
+    for (int i = 0; i < 128; ++i)
+        p = Rng::mulMod(p, p);
+    const Rng::Poly kJump = {0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
+                             0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL};
+    EXPECT_EQ(p, kJump);
+}
+
 TEST(SatCounter, SaturatesHigh)
 {
     SatCounter<5> c;

@@ -14,7 +14,9 @@
  *   - watchdog expiry and cross-thread cancellation concurrent with
  *     Simulator::run's 64 Ki-cycle polling, including the thread_local
  *     independence of the watchdog state and the CancelFlag
- *     release/acquire pairing (the codebase's intended lock-free site).
+ *     release/acquire pairing (the codebase's intended lock-free site);
+ *   - makeGraph's own threads (edge chunks, CSR vertex ranges), with
+ *     several builds of one graph racing each other.
  *
  * Everything here must pass with -fsanitize=thread; a data race in any
  * of these paths is a test failure even when the values happen to come
@@ -34,6 +36,7 @@
 #include "common/watchdog.hh"
 #include "sim/runner.hh"
 #include "store/result_store.hh"
+#include "workloads/graph.hh"
 #include "workloads/workload.hh"
 
 using namespace tlpsim;
@@ -323,6 +326,34 @@ TEST(RunnerConcurrency, RequestCancelUnwindsRunningJobs)
         }
     }
     EXPECT_EQ(cancelled, 6);
+}
+
+// --------------------------------------------------------------------------
+// makeGraph's parallel build
+// --------------------------------------------------------------------------
+
+TEST(GraphConcurrency, RacingParallelBuildsEqualOneBuiltAlone)
+{
+    // makeGraph draws edges in chunks and scatters the CSR by vertex
+    // range on threads of its own. Three callers building the same graph
+    // at once must each get the graph one caller gets alone; under TSan,
+    // a race in either split fails here.
+    for (workloads::GraphKind kind : workloads::kAllGraphKinds) {
+        const workloads::Graph alone = workloads::makeGraph(kind, 10, 8, 42);
+        std::vector<workloads::Graph> raced(3);
+        {
+            std::vector<std::jthread> callers;
+            callers.reserve(raced.size());
+            for (workloads::Graph &g : raced) {
+                callers.emplace_back(
+                    [&g, kind] { g = workloads::makeGraph(kind, 10, 8, 42); });
+            }
+        }
+        for (const workloads::Graph &g : raced) {
+            EXPECT_EQ(g.offsets, alone.offsets) << toString(kind);
+            EXPECT_EQ(g.neighbors, alone.neighbors) << toString(kind);
+        }
+    }
 }
 
 // --------------------------------------------------------------------------
