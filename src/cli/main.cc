@@ -346,9 +346,9 @@ sweepOptions(const Options &o, LayeredConfig &lc)
 
     if (!shard_spec.empty())
         sw.shard = store::parseShardSpec(shard_spec);
-    if (sw.timeout_s < 0.0)
-        usageError("--timeout expects a non-negative number of seconds, "
-                   "got '" + std::to_string(sw.timeout_s) + "'");
+    if (!std::isfinite(sw.timeout_s) || sw.timeout_s < 0.0)
+        usageError("--timeout expects a finite, non-negative number of "
+                   "seconds, got '" + std::to_string(sw.timeout_s) + "'");
     if (sw.resume && sw.store_dir.empty())
         usageError("--resume requires --store DIR (there is nothing to "
                    "resume from without a store)");

@@ -398,6 +398,15 @@ Config::fromEnv()
                         : parseAssignments(v, "TLPSIM_CONF");
 }
 
+Config
+Config::fromEnvVar(const char *name)
+{
+    Config c;
+    if (const char *v = std::getenv(name))
+        c.set(name, v);
+    return c;
+}
+
 std::string
 Config::serialize() const
 {

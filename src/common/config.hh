@@ -148,6 +148,11 @@ class Config
     /** The TLPSIM_CONF environment overlay (empty if unset). */
     static Config fromEnv();
 
+    /** Environment variable @p name as a one-key config under that name
+     *  (empty if unset), so the typed getters parse it strictly and
+     *  their errors name the variable. */
+    static Config fromEnvVar(const char *name);
+
     /** Canonical "key = value" rendering, keys sorted; parse(serialize())
      *  reproduces the config exactly. */
     std::string serialize() const;

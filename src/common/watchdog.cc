@@ -30,15 +30,20 @@ thread_local ThreadWatchdog g_wd;
 void
 arm(double seconds)
 {
-    if (seconds <= 0.0) {
+    if (!(seconds > 0.0)) {
         disarm();
         return;
     }
     g_wd.armed = true;
     g_wd.budget_s = seconds;
     g_wd.start = Clock::now();
-    g_wd.deadline
-        = g_wd.start + std::chrono::duration_cast<Clock::duration>(
+    // A budget past the clock's range never expires; converting it to
+    // Clock::duration would overflow.
+    const std::chrono::duration<double> left = Clock::time_point::max()
+        - g_wd.start;
+    g_wd.deadline = seconds >= left.count()
+        ? Clock::time_point::max()
+        : g_wd.start + std::chrono::duration_cast<Clock::duration>(
                            std::chrono::duration<double>(seconds));
 }
 

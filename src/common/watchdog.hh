@@ -71,7 +71,8 @@ class CancelFlag
 };
 
 /** Arm the calling thread's watchdog: poll() throws SimTimeoutError once
- *  @p seconds of wall-clock time elapse. seconds <= 0 disarms. */
+ *  @p seconds of wall-clock time elapse. seconds <= 0 (or NaN) disarms;
+ *  a budget beyond the clock's range never expires. */
 void arm(double seconds);
 
 /** Disarm the calling thread's watchdog. */

@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstdio>
 #include <exception>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -14,39 +13,27 @@
 namespace tlpsim::experiment
 {
 
-namespace
-{
-
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (v == nullptr)
-        return fallback;
-    char *end = nullptr;
-    std::uint64_t parsed = std::strtoull(v, &end, 10);
-    return end == v ? fallback : parsed;
-}
-
-} // namespace
-
 InstrCount
 envInstrs(InstrCount fallback)
 {
-    return envU64("TLPSIM_INSTRS", fallback);
+    return Config::fromEnvVar("TLPSIM_INSTRS")
+        .getUnsigned("TLPSIM_INSTRS", fallback);
 }
 
 InstrCount
 envWarmup(InstrCount fallback)
 {
-    return envU64("TLPSIM_WARMUP", fallback);
+    return Config::fromEnvVar("TLPSIM_WARMUP")
+        .getUnsigned("TLPSIM_WARMUP", fallback);
 }
 
 int
 envMixes(int fallback)
 {
     return static_cast<int>(
-        envU64("TLPSIM_MIXES", static_cast<std::uint64_t>(fallback)));
+        Config::fromEnvVar("TLPSIM_MIXES")
+            .getUnsigned32("TLPSIM_MIXES",
+                           static_cast<std::uint32_t>(fallback)));
 }
 
 namespace

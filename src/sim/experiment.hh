@@ -19,7 +19,9 @@
 namespace tlpsim::experiment
 {
 
-/** TLPSIM_INSTRS (measurement instructions per core). */
+/** TLPSIM_INSTRS (measurement instructions per core). These three return
+ *  @p fallback when the variable is unset and throw ConfigError, naming
+ *  it, when it is not a non-negative integer. */
 InstrCount envInstrs(InstrCount fallback = 1'000'000);
 /** TLPSIM_WARMUP (warmup instructions per core). */
 InstrCount envWarmup(InstrCount fallback = 200'000);

@@ -10,7 +10,8 @@
  * *relative* attribution honest — exactly what's needed to direct
  * hot-loop work and to spot a subsystem whose share regresses.
  *
- * Used by bench/profile_hotloop (CI uploads its report as an artifact).
+ * Used by perfbench: `--trace 1` attaches one to every design point of
+ * its traced round and reports each subsystem's share of host time.
  */
 
 #ifndef TLPSIM_SIM_HOTLOOP_PROFILE_HH
@@ -60,17 +61,6 @@ struct HotloopProfile
     };
 
     std::uint64_t ticks[kNumSubsystems] = {};   ///< TSC deltas summed
-    std::uint64_t calls[kNumSubsystems] = {};
-    std::uint64_t stepped_cycles = 0;           ///< cycles actually ticked
-    std::uint64_t skipped_cycles = 0;           ///< cycles elided by skip
-
-    static const char *
-    name(int s)
-    {
-        static const char *kNames[kNumSubsystems]
-            = {"core", "l1i", "l1d", "l2", "llc", "dram", "next_event"};
-        return kNames[s];
-    }
 
     std::uint64_t
     total() const
@@ -84,12 +74,8 @@ struct HotloopProfile
     void
     merge(const HotloopProfile &o)
     {
-        for (int s = 0; s < kNumSubsystems; ++s) {
+        for (int s = 0; s < kNumSubsystems; ++s)
             ticks[s] += o.ticks[s];
-            calls[s] += o.calls[s];
-        }
-        stepped_cycles += o.stepped_cycles;
-        skipped_cycles += o.skipped_cycles;
     }
 };
 

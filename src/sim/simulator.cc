@@ -315,52 +315,43 @@ Simulator::build()
 void
 Simulator::step()
 {
-    if (profile_ != nullptr) {
-        stepProfiled();
-        return;
-    }
-    for (auto &core : cores_)
-        core->tickIfDue(cycle_);
-    for (auto &c : l1i_)
-        c->tickIfDue(cycle_);
-    for (auto &c : l1d_)
-        c->tickIfDue(cycle_);
-    for (auto &c : l2_)
-        c->tickIfDue(cycle_);
-    llc_->tickIfDue(cycle_);
-    dram_->tickIfDue(cycle_);
-    ++cycle_;
+    if (profile_ != nullptr)
+        tick<true>();
+    else
+        tick<false>();
 }
 
+template <bool kProfiled>
 void
-Simulator::stepProfiled()
+Simulator::tick()
 {
-    HotloopProfile &p = *profile_;
-    std::uint64_t t0 = profileTimestamp();
-    auto lap = [&t0, &p](int subsystem, std::size_t n) {
-        const std::uint64_t t1 = profileTimestamp();
-        p.ticks[subsystem] += t1 - t0;
-        p.calls[subsystem] += n;
-        t0 = t1;
+    // lap(s) charges the host time since the previous lap to subsystem
+    // s of the attached profile; unprofiled, it compiles away.
+    [[maybe_unused]] std::uint64_t t0 = kProfiled ? profileTimestamp() : 0;
+    auto lap = [&]([[maybe_unused]] HotloopProfile::Subsystem s) {
+        if constexpr (kProfiled) {
+            const std::uint64_t t1 = profileTimestamp();
+            profile_->ticks[s] += t1 - t0;
+            t0 = t1;
+        }
     };
     for (auto &core : cores_)
         core->tickIfDue(cycle_);
-    lap(HotloopProfile::kCore, cores_.size());
+    lap(HotloopProfile::kCore);
     for (auto &c : l1i_)
         c->tickIfDue(cycle_);
-    lap(HotloopProfile::kL1i, l1i_.size());
+    lap(HotloopProfile::kL1i);
     for (auto &c : l1d_)
         c->tickIfDue(cycle_);
-    lap(HotloopProfile::kL1d, l1d_.size());
+    lap(HotloopProfile::kL1d);
     for (auto &c : l2_)
         c->tickIfDue(cycle_);
-    lap(HotloopProfile::kL2, l2_.size());
+    lap(HotloopProfile::kL2);
     llc_->tickIfDue(cycle_);
-    lap(HotloopProfile::kLlc, 1);
+    lap(HotloopProfile::kLlc);
     dram_->tickIfDue(cycle_);
-    lap(HotloopProfile::kDram, 1);
+    lap(HotloopProfile::kDram);
     ++cycle_;
-    ++p.stepped_cycles;
 }
 
 Cycle
@@ -407,16 +398,10 @@ Simulator::nextEventCycle()
 Cycle
 Simulator::skipIdle(Cycle limit)
 {
-    Cycle target;
-    if (profile_ != nullptr) {
-        const std::uint64_t t0 = profileTimestamp();
-        target = std::min(nextEventCycle(), limit);
-        profile_->ticks[HotloopProfile::kNextEvent]
-            += profileTimestamp() - t0;
-        ++profile_->calls[HotloopProfile::kNextEvent];
-    } else {
-        target = std::min(nextEventCycle(), limit);
-    }
+    const std::uint64_t t0 = profile_ != nullptr ? profileTimestamp() : 0;
+    const Cycle target = std::min(nextEventCycle(), limit);
+    if (profile_ != nullptr)
+        profile_->ticks[HotloopProfile::kNextEvent] += profileTimestamp() - t0;
     if (target <= cycle_)
         return 0;
     const Cycle delta = target - cycle_;
@@ -426,8 +411,6 @@ Simulator::skipIdle(Cycle limit)
         core->onCyclesSkipped(delta);
     cycle_ = target;
     idle_skipped_ += delta;
-    if (profile_ != nullptr)
-        profile_->skipped_cycles += delta;
     return delta;
 }
 

@@ -180,7 +180,10 @@ class Simulator
     struct PrefetchTranslator;
 
     void build();
-    void stepProfiled();
+
+    /** step()'s body, one tick sequence for both paths: kProfiled
+     *  times each subsystem into the attached profile. */
+    template <bool kProfiled> void tick();
 
     SystemConfig cfg_;
     std::vector<std::shared_ptr<TraceSource>> sources_;

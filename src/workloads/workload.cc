@@ -1,6 +1,5 @@
 #include "workloads/workload.hh"
 
-#include <cstdlib>
 #include <cstring>
 
 #include "common/config.hh"
@@ -51,14 +50,16 @@ scaleParams(SetSize s)
 SetSize
 setSizeFromEnv()
 {
-    const char *v = std::getenv("TLPSIM_SET");
-    if (v == nullptr)
-        return SetSize::Small;
-    if (std::strcmp(v, "full") == 0)
-        return SetSize::Full;
-    if (std::strcmp(v, "tiny") == 0)
+    const std::string v
+        = Config::fromEnvVar("TLPSIM_SET").getString("TLPSIM_SET", "small");
+    if (v == "tiny")
         return SetSize::Tiny;
-    return SetSize::Small;
+    if (v == "small")
+        return SetSize::Small;
+    if (v == "full")
+        return SetSize::Full;
+    throw ConfigError("TLPSIM_SET: unknown workload set '" + v
+                      + "'; valid names: tiny, small, full");
 }
 
 std::vector<WorkloadSpec>

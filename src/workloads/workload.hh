@@ -86,7 +86,8 @@ struct ScaleParams
 
 ScaleParams scaleParams(SetSize s);
 
-/** Reads TLPSIM_SET (tiny|small|full); defaults to Small. */
+/** Reads TLPSIM_SET (tiny|small|full); defaults to Small. Any other
+ *  value throws ConfigError. */
 SetSize setSizeFromEnv();
 
 /** All single-core workloads for a set size (GAP first, then SPEC). */

@@ -1,7 +1,9 @@
-/** Unit tests for src/common: bit ops, RNG, counters, stats, storage. */
+/** Unit tests for src/common: bit ops, RNG, counters, stats, storage,
+ *  the watchdog. */
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "common/bitops.hh"
@@ -10,6 +12,7 @@
 #include "common/stats.hh"
 #include "common/storage.hh"
 #include "common/types.hh"
+#include "common/watchdog.hh"
 
 using namespace tlpsim;
 
@@ -286,4 +289,19 @@ TEST(Storage, TableRendering)
     EXPECT_NE(t.find("Budget"), std::string::npos);
     EXPECT_NE(t.find("weights"), std::string::npos);
     EXPECT_NE(t.find("TOTAL"), std::string::npos);
+}
+
+TEST(Watchdog, BudgetBeyondClockRangeNeverExpires)
+{
+    // 1e300 s is far past the clock's int64 nanoseconds: such a budget
+    // must arm as never expiring, not overflow into a past deadline.
+    watchdog::arm(1e300);
+    EXPECT_TRUE(watchdog::armed());
+    EXPECT_NO_THROW(watchdog::poll());
+    watchdog::arm(std::numeric_limits<double>::infinity());
+    EXPECT_NO_THROW(watchdog::poll());
+    // NaN compares false against every bound; it disarms like 0.
+    watchdog::arm(std::numeric_limits<double>::quiet_NaN());
+    EXPECT_FALSE(watchdog::armed());
+    watchdog::disarm();
 }

@@ -115,15 +115,15 @@ TEST(Runner, ConfigKeyDistinguishesDesignPoints)
  * The headline guarantee: the same grid sharded over 4 workers yields
  * bit-identical per-workload stats to a sequential run in the same
  * process. Any data race or scheduling dependence in the runner, the
- * trace cache, or the graph cache shows up here.
+ * trace cache, or the graph cache shows up here. The grid is every tiny
+ * workload, SPEC and GAP, under baseline, Hermes and TLP.
  */
 TEST(Runner, GridDeterministicAcrossWorkerCounts)
 {
-    auto ws = workloads::singleCoreWorkloads(workloads::SetSize::Tiny);
-    ASSERT_GE(ws.size(), 4u);
-    ws.resize(4);
-    std::vector<SystemConfig> grid{tinyConfig(),
-                                   tinyConfig(SchemeConfig::fromName("tlp"))};
+    const auto ws = workloads::singleCoreWorkloads(workloads::SetSize::Tiny);
+    std::vector<SystemConfig> grid;
+    for (const char *scheme : {"baseline", "hermes", "tlp"})
+        grid.push_back(tinyConfig(SchemeConfig::fromName(scheme)));
 
     auto run_grid = [&](unsigned jobs) {
         Runner r(jobs);

@@ -396,7 +396,8 @@ TEST(Simulator, IdleSkipOnVsOffBitIdentical)
     // The event-driven idle skip (run()'s skipIdle after every step)
     // must be invisible in every result field: same stats map, same
     // per-core windows, at Fig. 10 scale — while actually eliding a
-    // nontrivial share of cycles on a DRAM-bound workload.
+    // nontrivial share of cycles on a DRAM-bound workload. So must an
+    // attached HotloopProfile, which times the same tick sequence.
     Trace trace
         = workloads::buildTrace(tinyWorkload("mcf_pchase"), 80'000, 1);
     for (const SchemeConfig &s :
@@ -408,8 +409,12 @@ TEST(Simulator, IdleSkipOnVsOffBitIdentical)
 
         Simulator sim_on(on, std::vector<const Trace *>{&trace});
         Simulator sim_off(off, std::vector<const Trace *>{&trace});
+        Simulator sim_prof(on, std::vector<const Trace *>{&trace});
+        HotloopProfile profile;
+        sim_prof.setProfile(&profile);
         SimResult a = sim_on.run();
         SimResult b = sim_off.run();
+        SimResult p = sim_prof.run();
 
         EXPECT_GT(sim_on.idleSkippedCycles(), 0u) << s.name;
         EXPECT_EQ(sim_off.idleSkippedCycles(), 0u) << s.name;
@@ -417,6 +422,14 @@ TEST(Simulator, IdleSkipOnVsOffBitIdentical)
         EXPECT_EQ(a.window_cycles, b.window_cycles) << s.name;
         EXPECT_EQ(a.warmup_end_cycle, b.warmup_end_cycle) << s.name;
         EXPECT_EQ(a.ipc, b.ipc) << s.name;
+
+        EXPECT_GT(profile.total(), 0u) << s.name;
+        EXPECT_EQ(sim_prof.idleSkippedCycles(), sim_on.idleSkippedCycles())
+            << s.name;
+        EXPECT_EQ(p.stats, a.stats) << s.name;
+        EXPECT_EQ(p.window_cycles, a.window_cycles) << s.name;
+        EXPECT_EQ(p.warmup_end_cycle, a.warmup_end_cycle) << s.name;
+        EXPECT_EQ(p.ipc, a.ipc) << s.name;
     }
 }
 
@@ -641,15 +654,53 @@ TEST(Experiment, TraceCacheReturnsSameObject)
     EXPECT_NE(&a, &c);
 }
 
+/** What @p parse throws, or "" if it returns. */
+template <typename F>
+std::string
+configErrorOf(F parse)
+{
+    try {
+        parse();
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    return "";
+}
+
 TEST(Experiment, EnvKnobsFallBack)
 {
     unsetenv("TLPSIM_INSTRS");
     EXPECT_EQ(envInstrs(123), 123u);
     setenv("TLPSIM_INSTRS", "456", 1);
     EXPECT_EQ(envInstrs(123), 456u);
+    // A malformed value fails, naming the variable, instead of being
+    // cut short ("20k" -> 20), wrapped ("-1" -> 2^64 - 1) or ignored.
+    for (const char *bad : {"20k", "-1", "lots"}) {
+        setenv("TLPSIM_INSTRS", bad, 1);
+        setenv("TLPSIM_WARMUP", bad, 1);
+        setenv("TLPSIM_MIXES", bad, 1);
+        EXPECT_NE(configErrorOf([] { envInstrs(123); }).find("TLPSIM_INSTRS"),
+                  std::string::npos) << bad;
+        EXPECT_NE(configErrorOf([] { envWarmup(123); }).find("TLPSIM_WARMUP"),
+                  std::string::npos) << bad;
+        EXPECT_NE(configErrorOf([] { envMixes(3); }).find("TLPSIM_MIXES"),
+                  std::string::npos) << bad;
+    }
     unsetenv("TLPSIM_INSTRS");
+    unsetenv("TLPSIM_WARMUP");
     unsetenv("TLPSIM_MIXES");
     EXPECT_EQ(envMixes(3), 3);
+
+    unsetenv("TLPSIM_SET");
+    EXPECT_EQ(workloads::setSizeFromEnv(), workloads::SetSize::Small);
+    setenv("TLPSIM_SET", "tiny", 1);
+    EXPECT_EQ(workloads::setSizeFromEnv(), workloads::SetSize::Tiny);
+    // A misspelt set is an error listing the valid ones, not Small.
+    setenv("TLPSIM_SET", "tiyn", 1);
+    const std::string msg = configErrorOf(workloads::setSizeFromEnv);
+    EXPECT_NE(msg.find("TLPSIM_SET"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("tiny, small, full"), std::string::npos) << msg;
+    unsetenv("TLPSIM_SET");
 }
 
 TEST(Experiment, TablePrinterFormats)
