@@ -29,6 +29,7 @@
 #define TLPSIM_BENCH_BENCH_COMMON_HH
 
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -201,16 +202,31 @@ struct SuiteSummary
 inline void
 printBanner(const char *what, const char *paper_ref)
 {
+    // Every bench main calls this first, so every scale knob is read
+    // here once: a malformed one ends the bench with its error and exit
+    // status 1, as it ends the tlpsim CLI, before anything runs.
+    InstrCount warmup = 0;
+    InstrCount instrs = 0;
+    unsigned jobs = 0;
+    try {
+        warmup = benchWarmup();
+        instrs = benchInstrs();
+        benchMixes();
+        workloads::setSizeFromEnv();
+        jobs = experiment::defaultRunner().jobs();
+    } catch (const ConfigError &e) {
+        std::fprintf(stderr, "tlpsim bench: %s\n", e.what());
+        std::exit(1);
+    }
     std::printf("================================================="
                 "=============\n");
     std::printf("tlpsim bench: %s\n", what);
     std::printf("reproduces  : %s\n", paper_ref);
     std::printf("scale       : warmup=%llu sim=%llu per core "
                 "(TLPSIM_WARMUP/TLPSIM_INSTRS to change)\n",
-                static_cast<unsigned long long>(benchWarmup()),
-                static_cast<unsigned long long>(benchInstrs()));
-    std::printf("jobs        : %u (TLPSIM_JOBS to change)\n",
-                experiment::defaultRunner().jobs());
+                static_cast<unsigned long long>(warmup),
+                static_cast<unsigned long long>(instrs));
+    std::printf("jobs        : %u (TLPSIM_JOBS to change)\n", jobs);
     std::printf("================================================="
                 "=============\n");
 }

@@ -145,8 +145,8 @@ Cache::storageBits() const
 }
 
 // Everything below runs on the per-cycle path (tick, queue processing,
-// fills, prefetcher notification). tools/hotpath_lint.py bans allocation
-// and unwaived container growth here; tests/test_hotpath_alloc.cpp
+// fills, prefetcher notification). tlpsim-audit's hotpath check bans
+// allocation and unwaived container growth here; test_hotpath_alloc
 // checks the same dynamically.
 // tlpsim:hot
 
@@ -201,7 +201,7 @@ Cache::sendRead(const Packet &pkt)
         return false;
     }
     const Cycle ready = pkt.birth + params_.latency;
-    rq_.push_back({pkt, ready});   // tlpsim:cap (Ring, reserved)
+    rq_.push_back({pkt, ready});   // tlpsim:waive(hotpath) Ring, reserved
     next_ready_ = std::min(next_ready_, ready);
     return true;
 }
@@ -214,7 +214,7 @@ Cache::sendWrite(const Packet &pkt)
         return false;
     }
     const Cycle ready = pkt.birth + params_.latency;
-    wq_.push_back({pkt, ready});   // tlpsim:cap (Ring, reserved)
+    wq_.push_back({pkt, ready});   // tlpsim:waive(hotpath) Ring, reserved
     next_ready_ = std::min(next_ready_, ready);
     return true;
 }
@@ -227,7 +227,7 @@ Cache::sendPrefetch(const Packet &pkt)
         return false;
     }
     const Cycle ready = pkt.birth + params_.latency;
-    pq_.push_back({pkt, ready});   // tlpsim:cap (Ring, reserved)
+    pq_.push_back({pkt, ready});   // tlpsim:waive(hotpath) Ring, reserved
     next_ready_ = std::min(next_ready_, ready);
     return true;
 }
@@ -235,7 +235,7 @@ Cache::sendPrefetch(const Packet &pkt)
 void
 Cache::memReturn(const Packet &pkt)
 {
-    fills_.push_back({pkt, pkt.birth});   // tlpsim:cap (Ring, reserved)
+    fills_.push_back({pkt, pkt.birth});   // tlpsim:waive(hotpath) Ring, reserved
     next_ready_ = 0;   // fills are processed on the very next tick
 }
 
@@ -370,7 +370,7 @@ Cache::processFills(Cycle now)
         // Swap-remove the MSHR, but keep its waiter vector's capacity in
         // the pool — MSHR turnover is steady-state and must not free.
         mshr->waiters.clear();
-        waiter_pool_.push_back(   // tlpsim:cap (reserved mshrs)
+        waiter_pool_.push_back(   // tlpsim:waive(hotpath) reserved mshrs
             std::move(mshr->waiters));
         if (mshr != &mshrs_.back())
             *mshr = std::move(mshrs_.back());
@@ -426,7 +426,7 @@ Cache::notifyPrefetcher(const Packet &pkt, bool hit, bool prefetch_hit,
         pf.pf_metadata = cand.metadata;
         pf.pred_meta = meta;
         pf.birth = now;
-        pq_.push_back({pf, now + 1});   // tlpsim:cap (Ring, reserved)
+        pq_.push_back({pf, now + 1});   // tlpsim:waive(hotpath) Ring, reserved
         pf_issued_->add();
     }
 }
@@ -453,7 +453,7 @@ Cache::allocateMshr(const Packet &pkt, bool dirty_on_fill)
     mshr.dirty_on_fill = dirty_on_fill;
     mshr.primary = pkt;
     mshr.waiters = takeWaiterStorage();
-    mshrs_.push_back(std::move(mshr));   // tlpsim:cap (reserved mshrs)
+    mshrs_.push_back(std::move(mshr));   // tlpsim:waive(hotpath) reserved mshrs
 }
 
 bool
@@ -493,7 +493,7 @@ Cache::processRead(TimedPacket &entry, Cycle now)
         spec.spec_dram = true;
         spec.delayed_offchip_flag = false;
         spec.birth = now + params_.spec_latency;
-        spec_delay_.push_back({spec, spec.birth});   // tlpsim:cap (Ring, reserved)
+        spec_delay_.push_back({spec, spec.birth});   // tlpsim:waive(hotpath) Ring, reserved
         spec_delayed_issued_->add();
         if (params_.spec_observer != nullptr)
             params_.spec_observer->onSpecIssued(spec);
@@ -502,7 +502,7 @@ Cache::processRead(TimedPacket &entry, Cycle now)
     if (mshr != nullptr) {
         if (pkt.isDemand() && mshr->type == AccessType::Prefetch)
             mshr->demand_merged = true;
-        mshr->waiters.push_back(pkt);   // tlpsim:cap (pooled)
+        mshr->waiters.push_back(pkt);   // tlpsim:waive(hotpath) pooled
         mshr_merge_->add();
     } else {
         allocateMshr(pkt, false);
@@ -561,7 +561,7 @@ Cache::processWrite(TimedPacket &entry, Cycle now)
         mshr->dirty_on_fill = true;
         if (mshr->type == AccessType::Prefetch)
             mshr->demand_merged = true;
-        mshr->waiters.push_back(pkt);   // tlpsim:cap (pooled)
+        mshr->waiters.push_back(pkt);   // tlpsim:waive(hotpath) pooled
         mshr_merge_->add();
         notifyPrefetcher(pkt, false, false, now);
         return true;
@@ -614,7 +614,7 @@ Cache::processPrefetch(TimedPacket &entry, Cycle now)
 
     if (mshr != nullptr) {
         if (pkt.requestor != nullptr) {
-            mshr->waiters.push_back(pkt);   // tlpsim:cap (pooled)
+            mshr->waiters.push_back(pkt);   // tlpsim:waive(hotpath) pooled
             mshr_merge_->add();
         } else {
             pf_dup_->add();

@@ -32,6 +32,9 @@ BranchPredictor::BranchPredictor(const Params &p, StatGroup *stats)
         assert(perceptron_.indexBits(t) == perceptron_.indexBits(0));
 }
 
+// predictAndTrain runs once per retired branch.
+// tlpsim:hot
+
 void
 BranchPredictor::computeIndices(Addr ip, std::uint16_t *out) const
 {
@@ -69,5 +72,7 @@ BranchPredictor::predictAndTrain(Addr ip, bool taken)
     (ok ? correct_ : mispredict_)->add();
     return ok;
 }
+
+// tlpsim:endhot
 
 } // namespace tlpsim

@@ -67,8 +67,8 @@ Core::Core(const Params &p, const Ports &ports, StatGroup *stats)
 }
 
 // Everything below runs once per simulated cycle (or per instruction /
-// memory response within one). tools/hotpath_lint.py enforces that no
-// allocation, std::function, or unwaived container growth appears here;
+// memory response within one). tlpsim-audit's hotpath check enforces that
+// no allocation, std::function, or unwaived container growth appears here;
 // tests/test_hotpath_alloc.cpp checks the same dynamically.
 // tlpsim:hot
 
@@ -291,7 +291,7 @@ Core::scheduleExec(std::uint32_t slot, Cycle now)
 {
     if (rob_is_load_[slot] != 0) {
         rob_state_[slot] = State::WaitIssue;
-        issue_list_.push_back(slot);   // tlpsim:cap (reserved lq_size)
+        issue_list_.push_back(slot);   // tlpsim:waive(hotpath) reserved lq_size
         return;
     }
     complete(slot, std::max(rob_ready_[slot], now) + 1);
@@ -456,7 +456,7 @@ Core::issueOneLoad(std::uint32_t slot, Cycle now)
         spec.spec_dram = true;
         spec.delayed_offchip_flag = false;
         spec.birth = now + tr.latency + params_.spec_latency;
-        spec_delay_.push_back({spec.birth, spec});   // tlpsim:cap (Ring)
+        spec_delay_.push_back({spec.birth, spec});   // tlpsim:waive(hotpath) Ring
         spec_from_core_->add();
         if (ports_.spec_observer != nullptr)
             ports_.spec_observer->onSpecIssued(spec);
@@ -539,7 +539,7 @@ Core::memReturn(const Packet &pkt)
                 && rob_state_[slot] == State::WaitWalk) {
                 rob_state_[slot] = State::WaitIssue;
                 rob_ready_[slot] = std::max(rob_ready_[slot], now_ + 1);
-                issue_list_.push_back(   // tlpsim:cap (reserved lq_size)
+                issue_list_.push_back(   // tlpsim:waive(hotpath) reserved lq_size
                     slot);
             }
         }

@@ -42,6 +42,10 @@ Ppf::Ppf(const Params &p, StatGroup *stats)
 {
 }
 
+// allow() runs once per L2 prefetch candidate and the training callbacks
+// once per demand access or eviction they match.
+// tlpsim:hot
+
 void
 Ppf::computeIndices(const PrefetchTrigger &trigger, Addr pf_paddr,
                     std::uint32_t pf_metadata, std::uint16_t *out) const
@@ -152,6 +156,8 @@ Ppf::onDemandMiss(Addr paddr, Addr ip)
         r->valid = false;
     }
 }
+
+// tlpsim:endhot
 
 StorageBudget
 Ppf::storage() const

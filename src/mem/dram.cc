@@ -46,8 +46,8 @@ DramController::DramController(const Params &p, StatGroup *stats)
     }
 }
 
-// Everything below runs on the per-cycle path. tools/hotpath_lint.py
-// bans allocation and unwaived container growth here;
+// Everything below runs on the per-cycle path. tlpsim-audit's hotpath
+// check bans allocation and unwaived container growth here;
 // tests/test_hotpath_alloc.cpp checks the same dynamically.
 // tlpsim:hot
 
@@ -125,7 +125,7 @@ DramController::sendRead(const Packet &pkt)
             return true;
         }
         spec_issued_->add();
-        read_q_.push_back(   // tlpsim:cap (reserved rq_size)
+        read_q_.push_back(   // tlpsim:waive(hotpath) reserved rq_size
             {pkt, pkt.birth, takeWaiterStorage()});
         sched_quiet_until_ = 0;   // new entry: its bank may be idle
         next_tick_ = 0;
@@ -150,7 +150,7 @@ DramController::sendRead(const Packet &pkt)
             for (auto &e : read_q_) {
                 if (e.pkt.spec_dram && e.pkt.core == pkt.core
                     && blockNumber(e.pkt.paddr) == block) {
-                    e.waiters.push_back(pkt);   // tlpsim:cap (pooled)
+                    e.waiters.push_back(pkt);   // tlpsim:waive(hotpath) pooled
                     spec_merged_inflight_->add();
                     return true;
                 }
@@ -158,7 +158,7 @@ DramController::sendRead(const Packet &pkt)
             for (auto &f : in_flight_) {
                 if (f.entry.pkt.spec_dram && f.entry.pkt.core == pkt.core
                     && blockNumber(f.entry.pkt.paddr) == block) {
-                    f.entry.waiters.push_back(pkt);   // tlpsim:cap (pooled)
+                    f.entry.waiters.push_back(pkt);   // tlpsim:waive(hotpath) pooled
                     spec_merged_inflight_->add();
                     return true;
                 }
@@ -175,7 +175,7 @@ DramController::sendRead(const Packet &pkt)
     for (auto &e : read_q_) {
         if (!e.pkt.spec_dram && blockNumber(e.pkt.paddr) == block
             && e.pkt.core == pkt.core) {
-            e.waiters.push_back(pkt);   // tlpsim:cap (pooled)
+            e.waiters.push_back(pkt);   // tlpsim:waive(hotpath) pooled
             rq_merges_->add();
             return true;
         }
@@ -185,7 +185,7 @@ DramController::sendRead(const Packet &pkt)
         noteRefusal();
         return false;
     }
-    read_q_.push_back(   // tlpsim:cap (reserved rq_size)
+    read_q_.push_back(   // tlpsim:waive(hotpath) reserved rq_size
         {pkt, pkt.birth, takeWaiterStorage()});
     sched_quiet_until_ = 0;   // new entry: its bank may be idle
     next_tick_ = 0;
@@ -201,7 +201,7 @@ DramController::sendWrite(const Packet &pkt)
     }
     // Writes complete silently and never collect waiters, so the empty
     // vector here never allocates.
-    write_q_.push_back({pkt, pkt.birth, {}});   // tlpsim:cap (reserved)
+    write_q_.push_back({pkt, pkt.birth, {}});   // tlpsim:waive(hotpath) reserved
     sched_quiet_until_ = 0;   // new entry: its bank may be idle
     next_tick_ = 0;
     return true;
@@ -264,7 +264,7 @@ DramController::scheduleOne(Cycle now, std::vector<QueueEntry> &queue,
         return kCycleNever;   // writes complete silently
     }
     reads_->add();
-    in_flight_.push_back(   // tlpsim:cap (reserved rq_size)
+    in_flight_.push_back(   // tlpsim:waive(hotpath) reserved rq_size
         {std::move(entry), done});
     next_done_ = std::min(next_done_, done);
     return kCycleNever;
@@ -312,7 +312,7 @@ DramController::completeReads(Cycle now)
         }
         // Keep the waiter vector's capacity for the next read entry.
         f.entry.waiters.clear();
-        waiter_pool_.push_back(   // tlpsim:cap (reserved rq_size)
+        waiter_pool_.push_back(   // tlpsim:waive(hotpath) reserved rq_size
             std::move(f.entry.waiters));
     }
     next_done_ = next;

@@ -22,7 +22,7 @@ OffChipPredictor::OffChipPredictor(const Params &p, StatGroup *stats)
 
 // predictLoad/train run once per load (the paper's per-access FLP
 // consult-and-train path); no allocation allowed here
-// (tools/hotpath_lint.py).
+// (tlpsim-audit's hotpath check).
 // tlpsim:hot
 
 OffChipPredictor::Decision

@@ -41,7 +41,7 @@ HashedPerceptron::HashedPerceptron(std::string name,
 }
 
 // Predict/train run once per load; no allocation allowed here
-// (tools/hotpath_lint.py).
+// (tlpsim-audit's hotpath check).
 // tlpsim:hot
 
 int

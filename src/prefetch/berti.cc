@@ -108,7 +108,7 @@ BertiPrefetcher::onAccess(const PrefetchTrigger &trigger,
             || t > static_cast<std::int64_t>(page_last_line)) {
             continue;
         }
-        out.push_back({static_cast<Addr>(t) << kBlockBits, 1, 0});   // tlpsim:cap (caller-reserved)
+        out.push_back({static_cast<Addr>(t) << kBlockBits, 1, 0});   // tlpsim:waive(hotpath) caller-reserved
     }
 
     // Record this access.

@@ -67,7 +67,7 @@ IpcpPrefetcher::onAccess(const PrefetchTrigger &trigger,
         e = IpEntry{tag, true, line, 0, 0, 0};
         // Cold IP: fall back to next-line.
         if (line < page_last_line)
-            out.push_back({(line + 1) << kBlockBits, 1, 0});   // tlpsim:cap (caller-reserved)
+            out.push_back({(line + 1) << kBlockBits, 1, 0});   // tlpsim:waive(hotpath) caller-reserved
         return;
     }
 
@@ -115,7 +115,7 @@ IpcpPrefetcher::onAccess(const PrefetchTrigger &trigger,
                 || t > static_cast<std::int64_t>(page_last_line)) {
                 break;
             }
-            out.push_back({static_cast<Addr>(t) << kBlockBits, 1, 0});   // tlpsim:cap (caller-reserved)
+            out.push_back({static_cast<Addr>(t) << kBlockBits, 1, 0});   // tlpsim:waive(hotpath) caller-reserved
         }
         return;
     }
@@ -133,7 +133,7 @@ IpcpPrefetcher::onAccess(const PrefetchTrigger &trigger,
             || t > static_cast<std::int64_t>(page_last_line)) {
             break;
         }
-        out.push_back({static_cast<Addr>(t) << kBlockBits, 1, 0});   // tlpsim:cap (caller-reserved)
+        out.push_back({static_cast<Addr>(t) << kBlockBits, 1, 0});   // tlpsim:waive(hotpath) caller-reserved
         cplx_issued = true;
         sig = static_cast<std::uint16_t>(
             ((sig << 3) ^ static_cast<std::uint16_t>(c.stride & 0x3f))
@@ -148,14 +148,14 @@ IpcpPrefetcher::onAccess(const PrefetchTrigger &trigger,
             Addr tl = line + d;
             if (tl > page_last_line)
                 break;
-            out.push_back({tl << kBlockBits, 1, 0});   // tlpsim:cap (caller-reserved)
+            out.push_back({tl << kBlockBits, 1, 0});   // tlpsim:waive(hotpath) caller-reserved
         }
         return;
     }
 
     // NL fallback.
     if (line < page_last_line)
-        out.push_back({(line + 1) << kBlockBits, 1, 0});   // tlpsim:cap (caller-reserved)
+        out.push_back({(line + 1) << kBlockBits, 1, 0});   // tlpsim:waive(hotpath) caller-reserved
 }
 
 // tlpsim:endhot

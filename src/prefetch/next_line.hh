@@ -40,7 +40,7 @@ class NextLinePrefetcher : public Prefetcher
             return;
         }
         for (unsigned d = 1; d <= degree_; ++d) {
-            out.push_back(   // tlpsim:cap (caller-reserved cand_buf)
+            out.push_back(   // tlpsim:waive(hotpath) caller-reserved cand_buf
                 {blockAlign(trigger.vaddr) + d * kBlockSize, 1, 0});
         }
     }

@@ -118,7 +118,7 @@ SppPrefetcher::onAccess(const PrefetchTrigger &trigger,
             + (static_cast<Addr>(lk_offset) << kBlockBits);
         std::uint8_t fill_level
             = path_conf >= params_.fill_threshold ? 2 : 3;
-        out.push_back(   // tlpsim:cap (caller-reserved)
+        out.push_back(   // tlpsim:waive(hotpath) caller-reserved
             {pf_addr, fill_level,
              packMeta(path_conf, sig, depth)});
         sig = nextSignature(sig, best->delta);

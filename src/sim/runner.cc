@@ -1,7 +1,6 @@
 #include "sim/runner.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "common/diag.hh"
@@ -13,14 +12,13 @@ namespace tlpsim::experiment
 unsigned
 jobsFromEnv()
 {
-    if (const char *v = std::getenv("TLPSIM_JOBS")) {
-        char *end = nullptr;
-        unsigned long parsed = std::strtoul(v, &end, 10);
-        if (end != v && parsed > 0)
-            return static_cast<unsigned>(parsed);
-    }
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
+    const unsigned hw = std::thread::hardware_concurrency();
+    const std::uint32_t jobs = Config::fromEnvVar("TLPSIM_JOBS")
+        .getUnsigned32("TLPSIM_JOBS", hw == 0 ? 1 : hw);
+    if (jobs == 0)
+        throw ConfigError("TLPSIM_JOBS: expected at least one worker "
+                          "thread, got 0");
+    return jobs;
 }
 
 std::string

@@ -54,7 +54,9 @@
 namespace tlpsim::experiment
 {
 
-/** TLPSIM_JOBS (worker threads), default hardware_concurrency, min 1. */
+/** TLPSIM_JOBS (worker threads), default hardware_concurrency. Throws
+ *  ConfigError, naming the variable, unless it is a positive 32-bit
+ *  integer. */
 unsigned jobsFromEnv();
 
 /**

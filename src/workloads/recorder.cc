@@ -37,8 +37,10 @@ anchorPc()
 /** Synthetic text base recorded PCs are rebased onto. */
 constexpr Addr kTraceCodeBase = 0x400000;
 
-/** PC of the caller's call site (stable per static call site and run). */
-inline Addr
+/** PC of the caller's call site (stable per static call site and run).
+ *  Forced inline so the return address read is the kernel call site's
+ *  even at -O0, not that of the TraceRecorder method calling this. */
+[[gnu::always_inline]] inline Addr
 callerPc()
 {
     Addr pc = reinterpret_cast<Addr>(

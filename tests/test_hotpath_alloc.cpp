@@ -7,13 +7,15 @@
  * trace), the per-cycle loop must not allocate or free at all: the
  * core's in-flight tables are FlatTables sized at construction, the
  * cache/DRAM queues are reserved Rings/vectors, and MSHR/DRAM waiter
- * vectors recycle their capacity through pools.
+ * vectors recycle their capacity through pools. The cases below run
+ * every registered prefetcher, off-chip predictor and filter.
  *
- * This is the runtime complement to tools/hotpath_lint.py, which bans
- * the same constructs statically inside `// tlpsim:hot` regions. The
- * counters are plain (non-atomic) because the whole test is
- * single-threaded; the override itself is process-global, so the test
- * lives in its own binary.
+ * tlpsim-audit's hotpath check bans the same constructs statically
+ * inside `// tlpsim:hot` regions, on branches no run here takes; this
+ * test also catches what no region covers, such as a helper defined
+ * outside one. The counters are plain (non-atomic) because the whole
+ * test is single-threaded; the override itself is process-global, so
+ * the test lives in its own binary.
  */
 
 #include <cstdint>
@@ -124,11 +126,12 @@ pickWorkload(const char *name)
 }
 
 /** Steady-state allocations per `steps` simulated cycles under
- *  `scheme` on `cores` copies of `workload`, after `warmup_steps`
- *  cycles of warmup. */
+ *  `scheme` and the `l1_prefetcher` on `cores` copies of `workload`,
+ *  after `warmup_steps` cycles of warmup. */
 std::uint64_t
 steadyStateAllocs(const char *workload, const SchemeConfig &scheme,
-                  unsigned warmup_steps, unsigned steps, unsigned cores = 1)
+                  unsigned warmup_steps, unsigned steps, unsigned cores = 1,
+                  const char *l1_prefetcher = "ipcp")
 {
     constexpr std::uint64_t kTraceInstrs = 4000;
     Trace trace = workloads::buildTrace(pickWorkload(workload),
@@ -136,6 +139,7 @@ steadyStateAllocs(const char *workload, const SchemeConfig &scheme,
 
     SystemConfig cfg = SystemConfig::cascadeLake(cores);
     cfg.scheme = scheme;
+    cfg.l1_prefetcher = l1_prefetcher;
     Simulator sim(cfg, std::vector<const Trace *>(cores, &trace));
 
     // Warmup: reach every high-water mark. The trace repeats
@@ -179,6 +183,19 @@ TEST(HotPathAlloc, TlpSchemeSteadyStateIsAllocationFree)
     // IPCP/SPP prefetchers — the busiest per-cycle path in the system.
     EXPECT_EQ(steadyStateAllocs("mcf_pchase", SchemeConfig::fromName("tlp"),
                                 400'000, 100'000),
+              0u);
+}
+
+TEST(HotPathAlloc, OtherComponentsSteadyStateIsAllocationFree)
+{
+    // The schemes above run IPCP, SPP, FLP and SLP; these two run the
+    // other four registered components: Berti, Hermes, PPF, next-line.
+    EXPECT_EQ(steadyStateAllocs("mcf_pchase",
+                                SchemeConfig::fromName("hermes+ppf"), 400'000,
+                                100'000, 1, "berti"),
+              0u);
+    EXPECT_EQ(steadyStateAllocs("mcf_pchase", SchemeConfig::fromName("tlp"),
+                                400'000, 100'000, 1, "next_line"),
               0u);
 }
 

@@ -94,8 +94,25 @@ TEST(Runner, JobsFromEnv)
 {
     ::setenv("TLPSIM_JOBS", "3", 1);
     EXPECT_EQ(jobsFromEnv(), 3u);
-    ::setenv("TLPSIM_JOBS", "not-a-number", 1);
-    EXPECT_GE(jobsFromEnv(), 1u);
+    // A malformed or zero count fails, naming the variable, instead of
+    // falling back, being cut short ("2x" -> 2) or wrapping ("-1" -> 2^32
+    // - 1 workers). Only jobsFromEnv() runs: no Runner is built from them.
+    for (const char *bad : {"not-a-number", "-1", "0", "2x", ""}) {
+        ::setenv("TLPSIM_JOBS", bad, 1);
+        EXPECT_THROW(
+            {
+                try {
+                    jobsFromEnv();
+                } catch (const ConfigError &e) {
+                    EXPECT_NE(std::string(e.what()).find("TLPSIM_JOBS"),
+                              std::string::npos)
+                        << e.what();
+                    throw;
+                }
+            },
+            ConfigError)
+            << "TLPSIM_JOBS='" << bad << "'";
+    }
     ::unsetenv("TLPSIM_JOBS");
     EXPECT_GE(jobsFromEnv(), 1u);
 }

@@ -1,6 +1,6 @@
 """tlpsim-audit — semantic static-analysis suite for tlpsim.
 
-Four repo-specific checkers driven by the exported compilation database
+Five repo-specific checkers driven by the exported compilation database
 (build/compile_commands.json), each expressing an invariant the paper's
 figures depend on but that generic lint (clang-tidy, -Werror) cannot:
 
@@ -20,6 +20,10 @@ figures depend on but that generic lint (clang-tidy, -Werror) cannot:
                data member at its declaration (NSDMI) or in a
                constructor init list, so memoized Runner reuse can
                never observe stale state.
+  hotpath      no allocation construct (new, std::function, node-based
+               containers, string construction, unwaived container
+               growth) between `// tlpsim:hot` and `// tlpsim:endhot`
+               markers, and every region is closed exactly once.
 
 Any finding can be waived at the offending line (or the line above)
 with
@@ -27,19 +31,17 @@ with
     // tlpsim:waive(<check>) <reason>
 
 where <reason> is mandatory: a reason-less waiver is itself a finding.
+Of hotpath's findings only container growth can be waived.
 
 The suite is dependency-free Python over the compilation database: it
 runs in minimal containers (the dev image has neither libclang nor the
 clang python bindings), and the self-contained-header check invokes the
 same compiler the compilation database records, so its verdicts track
-the real build. CI pins and echoes the toolchain versions so baseline
-drift cannot come from silent upgrades.
+the real build.
 
 Run it:
 
     python3 -m tools.tlpsim_audit --compdb build/compile_commands.json --werror
 """
 
-__version__ = "1.0"
-
-CHECKS = ("determinism", "layering", "schema", "reset")
+CHECKS = ("determinism", "layering", "schema", "reset", "hotpath")

@@ -1,8 +1,8 @@
 """CLI driver: load the compilation database, run checkers, report.
 
     python3 -m tools.tlpsim_audit [--compdb build/compile_commands.json]
-        [--root DIR] [--checks determinism,layering,schema,reset]
-        [--json FILE] [--werror] [--show-waived] [--list-checks]
+        [--root DIR] [--checks determinism,layering,schema,reset,hotpath]
+        [--werror] [--show-waived] [--list-checks]
 
 Exit status: 0 clean (or findings without --werror — they still
 print), 1 findings under --werror, 2 usage/environment errors.
@@ -10,12 +10,10 @@ print), 1 findings under --werror, 2 usage/environment errors.
 
 import argparse
 import sys
-from pathlib import Path
 
-from . import CHECKS, __version__, compdb
+from . import CHECKS, compdb
 from .checks import CHECKERS
-from .findings import (Finding, Report, apply_waivers, render_json,
-                       render_text)
+from .findings import Finding, Report, apply_waivers, render_text
 from .source import SourceFile
 
 
@@ -57,7 +55,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="tlpsim-audit",
         description="semantic static analysis for tlpsim "
-                    "(determinism, layering, schema-drift, reset)")
+                    "(determinism, layering, schema-drift, reset, "
+                    "hotpath)")
     parser.add_argument("--compdb",
                         default="build/compile_commands.json",
                         help="compilation database "
@@ -68,15 +67,11 @@ def main(argv=None):
     parser.add_argument("--checks", default=",".join(CHECKS),
                         help="comma-separated subset of: "
                              + ", ".join(CHECKS))
-    parser.add_argument("--json", default=None, metavar="FILE",
-                        help="write the machine-readable report here")
     parser.add_argument("--werror", action="store_true",
                         help="exit 1 when any unwaived finding remains")
     parser.add_argument("--show-waived", action="store_true",
                         help="print waived findings too")
     parser.add_argument("--list-checks", action="store_true")
-    parser.add_argument("--version", action="version",
-                        version=f"tlpsim-audit {__version__}")
     args = parser.parse_args(argv)
 
     if args.list_checks:
@@ -106,9 +101,6 @@ def main(argv=None):
     text = render_text(report, show_waived=args.show_waived)
     if text:
         print(text)
-    if args.json:
-        Path(args.json).write_text(render_json(report, selected) + "\n",
-                                   encoding="utf-8")
 
     active, waived = report.active(), report.waived()
     print(f"tlpsim-audit: {len(active)} finding(s), "

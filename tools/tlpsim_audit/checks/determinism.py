@@ -84,13 +84,11 @@ def _unordered_vars(code):
 
 def run(project, files):
     report = Report()
-    scanned = 0
     for rel, sf in sorted(files.items()):
         if not rel.startswith("src/"):
             continue
         if any(rel.startswith(p) for p in EXEMPT_PREFIXES):
             continue
-        scanned += 1
         unordered = _unordered_vars(sf.code)
         for lineno, code in enumerate(sf.code_lines, start=1):
             raw = sf.lines[lineno - 1]
@@ -127,5 +125,4 @@ def run(project, files):
                         f"'{name}': bucket order is not deterministic; "
                         f"iterate a sorted snapshot, or waive if "
                         f"provably order-insensitive"))
-    report.summary["determinism"] = {"files_scanned": scanned}
     return report

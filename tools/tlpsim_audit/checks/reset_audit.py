@@ -245,14 +245,12 @@ def _audit_class(cls, site, files, enums, report):
         body = code[span[0]:span[1]]
         stmts, nested = _body_statements(body)
         ctor_inited = _ctor_initialized(files, cls)
-        checked = 0
         flat_members = []
         for s, o in stmts:
             flat_members.extend(_members(s, o))
         for type_text, name, has_init, off in flat_members:
             if not _is_scalar(type_text, enums):
                 continue
-            checked += 1
             if has_init or name in ctor_inited:
                 continue
             line = _line_of(code, span[0] + off)
@@ -268,7 +266,6 @@ def _audit_class(cls, site, files, enums, report):
                 for type_text, name, has_init, off in _members(s, o):
                     if not _is_scalar(type_text, enums):
                         continue
-                    checked += 1
                     if has_init:
                         continue
                     line = _line_of(code, span[0] + noff + off)
@@ -279,20 +276,17 @@ def _audit_class(cls, site, files, enums, report):
                         f"entries are reset by assignment, so an "
                         f"uninitialized field resurrects stale state "
                         f"on reuse"))
-        return checked
+        return
     report.add(Finding(
         CHECK, site[0], site[1],
         f"registry-built class '{cls}' has no class definition in any "
         f"src/ header this audit can see"))
-    return 0
 
 
 def run(project, files):
     report = Report()
     enums = _enums(files)
     classes = _built_classes(files)
-    checked = {}
     for cls, site in sorted(classes.items()):
-        checked[cls] = _audit_class(cls, site, files, enums, report)
-    report.summary["reset"] = {"classes": checked}
+        _audit_class(cls, site, files, enums, report)
     return report

@@ -35,12 +35,6 @@ FIELD_RE = re.compile(
     r"^\s*([\w:<>,\s]+?[\w:>])\s+(\w+)\s*(=[^;]*|\{[^;]*\})?\s*;",
     re.M)
 
-REGISTRY_KIND = {
-    "Prefetcher": "prefetcher",
-    "Filter": "filter",
-    "Offchip": "offchip",
-}
-
 
 def _line_of(code, pos):
     return code.count("\n", 0, pos) + 1
@@ -112,14 +106,12 @@ def _bound_schema(code):
 
 
 def _audit_tu(rel, sf, files, report):
-    """Audit every registration in one translation unit; returns the
-    audited components as "kind:name" strings."""
+    """Audit every registration in one translation unit."""
     code = sf.keep
     sites = list(ADD_RE.finditer(code))
     if not sites:
-        return []
+        return
     cls, bound = _bound_schema(code)
-    components = []
     for site in sites:
         name = site.group(2)
         if cls is None:
@@ -129,8 +121,6 @@ def _audit_tu(rel, sf, files, report):
                 f"translation unit; bind the knobs to the Params fields "
                 f"next to the registration so they can be audited"))
             continue
-        components.append(
-            f"{REGISTRY_KIND.get(site.group(1), site.group(1))}:{name}")
         fields, fields_rel, fields_line = _params_fields(files, cls)
         for field in sorted(set(fields or ()) - bound):
             report.add(Finding(
@@ -139,14 +129,11 @@ def _audit_tu(rel, sf, files, report):
                 f"knob; it cannot be swept and is invisible to --knobs "
                 f"(bind it, or waive with the reason it must stay "
                 f"internal)"))
-    return components
 
 
 def run(project, files):
     report = Report()
-    components = []
     for rel, sf in sorted(files.items()):
         if rel.endswith(".cc"):
-            components += _audit_tu(rel, sf, files, report)
-    report.summary["schema"] = {"components": sorted(components)}
+            _audit_tu(rel, sf, files, report)
     return report

@@ -1,6 +1,5 @@
 """Finding model, waiver application, and report rendering."""
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -8,18 +7,18 @@ from dataclasses import dataclass, field
 class Finding:
     """One checker verdict, anchored to a file and line.
 
-    `file` is repo-root-relative so output and JSON are stable across
-    checkouts; `line` is 1-based. `waived` findings are kept (they feed
-    the JSON report and the waiver-hygiene summary) but do not fail the
-    run.
+    `file` is repo-root-relative so output is stable across checkouts;
+    `line` is 1-based. `waived` findings are kept (--show-waived prints
+    them) but do not fail the run. A finding that is not `waivable`
+    stands even on a line that carries a waiver for its check.
     """
 
     check: str
     file: str
     line: int
     message: str
+    waivable: bool = True
     waived: bool = False
-    waive_reason: str = ""
 
     def key(self):
         return (self.file, self.line, self.check, self.message)
@@ -28,16 +27,12 @@ class Finding:
 @dataclass
 class Report:
     findings: list = field(default_factory=list)
-    # Checker-specific context for machine consumers (component lists,
-    # header counts, ...).
-    summary: dict = field(default_factory=dict)
 
     def add(self, finding):
         self.findings.append(finding)
 
     def extend(self, other):
         self.findings.extend(other.findings)
-        self.summary.update(other.summary)
 
     def active(self):
         return [f for f in self.findings if not f.waived]
@@ -58,10 +53,9 @@ def apply_waivers(findings, waivers_by_file):
     source.SourceFile.waivers).
     """
     for f in findings:
-        for check, reason in waivers_by_file.get(f.file, {}).get(f.line, []):
-            if check == f.check:
+        for check, _ in waivers_by_file.get(f.file, {}).get(f.line, []):
+            if check == f.check and f.waivable:
                 f.waived = True
-                f.waive_reason = reason
     return findings
 
 
@@ -74,25 +68,3 @@ def render_text(report, show_waived=False):
         lines.append(f"{f.file}:{f.line}: {tag}: [{f.check}] {f.message}")
     return "\n".join(lines)
 
-
-def render_json(report, checks_run):
-    return json.dumps(
-        {
-            "version": 1,
-            "checks": list(checks_run),
-            "findings": [
-                {
-                    "check": f.check,
-                    "file": f.file,
-                    "line": f.line,
-                    "message": f.message,
-                    "waived": f.waived,
-                    "waive_reason": f.waive_reason,
-                }
-                for f in report.findings
-            ],
-            "summary": report.summary,
-        },
-        indent=2,
-        sort_keys=True,
-    )

@@ -1,15 +1,17 @@
 """Lightweight C++ source model: comment/string stripping + waivers.
 
 The checkers match constructs lexically, so every one of them starts
-from comment-stripped text. Two forms are produced, line structure
+from comment-stripped text. Three forms are produced, line structure
 preserved exactly (a finding's line number indexes the original file):
 
   * code_lines — comments AND string/char literal contents blanked.
-    What the determinism checker scans: an identifier inside a string
-    or comment must never trip a ban.
+    What the determinism and hotpath checkers scan: an identifier
+    inside a string or comment must never trip a ban.
   * keep_lines — comments blanked, string contents kept. What the
     layering/schema/reset checkers scan: include paths and knob names
     are string literals.
+  * comment_lines — everything but comments blanked. Where waivers and
+    the hotpath checker's region markers are read.
 
 Waiver comments are collected while stripping:
 
@@ -40,10 +42,11 @@ class SourceFile:
             else self.path.read_text(encoding="utf-8", errors="replace")
         )
         self.lines = self.text.splitlines()
-        self.code_lines, self.keep_lines, comment_lines = \
+        self.code_lines, self.keep_lines, self.comment_lines = \
             _strip(self.lines)
         # line -> [(check, reason)]
-        self.waivers = _collect_waivers(comment_lines, self.code_lines)
+        self.waivers = _collect_waivers(self.comment_lines,
+                                        self.code_lines)
 
     @property
     def code(self):
