@@ -66,8 +66,10 @@ unsigned jobsFromEnv();
  * Revision 2: requests are accepted before they act, and count once.
  * Revision 3: the parallel graph build grew graph.cc, which moved every
  * recorded GAP PC (README "Bounded memory and determinism").
+ * Revision 4: every recorded PC is its call site's fixed literal
+ * (kernel code base plus offset), so every in-binary trace changed once.
  */
-inline constexpr unsigned kModelRevision = 3;
+inline constexpr unsigned kModelRevision = 4;
 
 /** Fingerprint of every SystemConfig field the simulation depends on
  *  (the serialized SystemConfig::effectiveConfig dump, which expands

@@ -82,6 +82,7 @@ struct CsrMirror
 BfsResult
 recordBfs(const Graph &g, TraceRecorder &rec, std::uint64_t seed)
 {
+    constexpr Addr pc = codeBase(GapKernel::Bfs);
     const Vertex n = g.numVertices();
     Rng rng(seed);
     BfsResult res;
@@ -96,27 +97,27 @@ recordBfs(const Graph &g, TraceRecorder &rec, std::uint64_t seed)
     queue.reserve(n);
     res.parent[res.source] = res.source;
     queue.push_back(res.source);
-    rec.store(v_queue.at(0));
+    rec.store(pc + 0x00, v_queue.at(0));
     res.visited = 1;
 
     for (std::size_t head = 0; head < queue.size() && !rec.full(); ++head) {
         Vertex u = queue[head];
-        RegId ru = rec.load(v_queue.at(head));
-        RegId rbeg = rec.load(csr.off.at(u), ru);
-        rec.load(csr.off.at(u + 1), ru);
+        RegId ru = rec.load(pc + 0x04, v_queue.at(head));
+        RegId rbeg = rec.load(pc + 0x08, csr.off.at(u), ru);
+        rec.load(pc + 0x0c, csr.off.at(u + 1), ru);
         for (std::uint64_t e = g.begin(u); e < g.end(u); ++e) {
             if (rec.full())
                 break;
             Vertex v = g.neighbors[e];
-            RegId rv = rec.load(csr.nbr.at(e), rbeg);
-            RegId rp = rec.load(v_parent.at(v), rv);    // irregular gather
+            RegId rv = rec.load(pc + 0x10, csr.nbr.at(e), rbeg);
+            RegId rp = rec.load(pc + 0x14, v_parent.at(v), rv);   // gather
             bool unvisited = res.parent[v] == kNoParent;
-            rec.branch(unvisited, rp);
+            rec.branch(pc + 0x18, unvisited, rp);
             if (unvisited) {
                 res.parent[v] = u;
-                rec.store(v_parent.at(v), ru, rv);
+                rec.store(pc + 0x1c, v_parent.at(v), ru, rv);
                 queue.push_back(v);
-                rec.store(v_queue.at(queue.size() - 1), rv);
+                rec.store(pc + 0x20, v_queue.at(queue.size() - 1), rv);
                 ++res.visited;
             }
         }
@@ -130,6 +131,7 @@ PrResult
 recordPr(const Graph &g, TraceRecorder &rec, std::uint64_t seed,
          unsigned max_iters)
 {
+    constexpr Addr pc = codeBase(GapKernel::Pr);
     const Vertex n = g.numVertices();
     (void)seed;
     constexpr float kDamp = 0.85f;
@@ -156,28 +158,28 @@ recordPr(const Graph &g, TraceRecorder &rec, std::uint64_t seed,
                 ? res.rank[v] / static_cast<float>(g.degree(v))
                 : 0.0f;
             if (v < phase1_recorded) {
-                RegId rr = rec.load(v_rank.at(v));
-                RegId rc = rec.alu(rr);
-                rec.store(v_contrib.at(v), rc);
+                RegId rr = rec.load(pc + 0x00, v_rank.at(v));
+                RegId rc = rec.alu(pc + 0x04, rr);
+                rec.store(pc + 0x08, v_contrib.at(v), rc);
             }
         }
         // Phase 2: pull — gather contributions of in-neighbors.
         for (Vertex v = 0; v < n && !rec.full(); ++v) {
-            RegId rbeg = rec.load(csr.off.at(v));
+            RegId rbeg = rec.load(pc + 0x0c, csr.off.at(v));
             float sum = 0.0f;
-            RegId racc = rec.alu();
+            RegId racc = rec.alu(pc + 0x10);
             for (std::uint64_t e = g.begin(v); e < g.end(v); ++e) {
                 if (rec.full())
                     break;
                 Vertex u = g.neighbors[e];
-                RegId ru = rec.load(csr.nbr.at(e), rbeg);
-                RegId rc = rec.load(v_contrib.at(u), ru);   // gather
+                RegId ru = rec.load(pc + 0x14, csr.nbr.at(e), rbeg);
+                RegId rc = rec.load(pc + 0x18, v_contrib.at(u), ru); // gather
                 sum += contrib[u];
-                racc = rec.alu(rc, racc);
-                rec.branch(e + 1 < g.end(v), racc);   // edge-loop branch
+                racc = rec.alu(pc + 0x1c, rc, racc);
+                rec.branch(pc + 0x20, e + 1 < g.end(v), racc);   // edge loop
             }
             res.rank[v] = base + kDamp * sum;
-            rec.store(v_rank.at(v), racc);
+            rec.store(pc + 0x24, v_rank.at(v), racc);
         }
         ++res.iterations;
     }
@@ -187,6 +189,7 @@ recordPr(const Graph &g, TraceRecorder &rec, std::uint64_t seed,
 CcResult
 recordCc(const Graph &g, TraceRecorder &rec, std::uint64_t seed)
 {
+    constexpr Addr pc = codeBase(GapKernel::Cc);
     const Vertex n = g.numVertices();
     (void)seed;
     CcResult res;
@@ -203,33 +206,33 @@ recordCc(const Graph &g, TraceRecorder &rec, std::uint64_t seed)
         changed = false;
         // Hooking: push the smaller label across every edge.
         for (Vertex u = 0; u < n && !rec.full(); ++u) {
-            RegId rbeg = rec.load(csr.off.at(u));
-            RegId rcu = rec.load(v_comp.at(u));
+            RegId rbeg = rec.load(pc + 0x00, csr.off.at(u));
+            RegId rcu = rec.load(pc + 0x04, v_comp.at(u));
             for (std::uint64_t e = g.begin(u); e < g.end(u); ++e) {
                 if (rec.full())
                     break;
                 Vertex v = g.neighbors[e];
-                RegId rv = rec.load(csr.nbr.at(e), rbeg);
-                RegId rcv = rec.load(v_comp.at(v), rv);     // gather
+                RegId rv = rec.load(pc + 0x08, csr.nbr.at(e), rbeg);
+                RegId rcv = rec.load(pc + 0x0c, v_comp.at(v), rv);   // gather
                 bool hook = res.comp[v] < res.comp[u];
-                rec.branch(hook, rcv);
+                rec.branch(pc + 0x10, hook, rcv);
                 if (hook) {
                     res.comp[u] = res.comp[v];
-                    rec.store(v_comp.at(u), rcv, rcu);
+                    rec.store(pc + 0x14, v_comp.at(u), rcv, rcu);
                     changed = true;
                 }
             }
         }
         // Shortcutting: pointer-jump every label to its root.
         for (Vertex v = 0; v < n && !rec.full(); ++v) {
-            RegId rc = rec.load(v_comp.at(v));
+            RegId rc = rec.load(pc + 0x18, v_comp.at(v));
             while (res.comp[v] != res.comp[res.comp[v]]) {
                 if (rec.full())
                     break;
                 // comp[comp[v]] — dependent load-load chain.
-                rc = rec.load(v_comp.at(res.comp[v]), rc);
+                rc = rec.load(pc + 0x1c, v_comp.at(res.comp[v]), rc);
                 res.comp[v] = res.comp[res.comp[v]];
-                rec.store(v_comp.at(v), rc);
+                rec.store(pc + 0x20, v_comp.at(v), rc);
                 changed = true;
             }
         }
@@ -240,6 +243,7 @@ recordCc(const Graph &g, TraceRecorder &rec, std::uint64_t seed)
 BcResult
 recordBc(const Graph &g, TraceRecorder &rec, std::uint64_t seed)
 {
+    constexpr Addr pc = codeBase(GapKernel::Bc);
     const Vertex n = g.numVertices();
     Rng rng(seed);
     BcResult res;
@@ -261,33 +265,33 @@ recordBc(const Graph &g, TraceRecorder &rec, std::uint64_t seed)
     depth[res.source] = 0;
     sigma[res.source] = 1.0;
     order.push_back(res.source);
-    rec.store(v_order.at(0));
+    rec.store(pc + 0x00, v_order.at(0));
 
     // Forward phase: BFS recording sigma accumulation.
     for (std::size_t head = 0; head < order.size() && !rec.full(); ++head) {
         Vertex u = order[head];
-        RegId ru = rec.load(v_order.at(head));
-        RegId rbeg = rec.load(csr.off.at(u), ru);
-        RegId rsu = rec.load(v_sigma.at(u), ru);
+        RegId ru = rec.load(pc + 0x04, v_order.at(head));
+        RegId rbeg = rec.load(pc + 0x08, csr.off.at(u), ru);
+        RegId rsu = rec.load(pc + 0x0c, v_sigma.at(u), ru);
         for (std::uint64_t e = g.begin(u); e < g.end(u); ++e) {
             if (rec.full())
                 break;
             Vertex v = g.neighbors[e];
-            RegId rv = rec.load(csr.nbr.at(e), rbeg);
-            RegId rd = rec.load(v_depth.at(v), rv);
+            RegId rv = rec.load(pc + 0x10, csr.nbr.at(e), rbeg);
+            RegId rd = rec.load(pc + 0x14, v_depth.at(v), rv);
             bool first_visit = depth[v] == kInfDist;
-            rec.branch(first_visit, rd);
+            rec.branch(pc + 0x18, first_visit, rd);
             if (first_visit) {
                 depth[v] = depth[u] + 1;
-                rec.store(v_depth.at(v), rv);
+                rec.store(pc + 0x1c, v_depth.at(v), rv);
                 order.push_back(v);
-                rec.store(v_order.at(order.size() - 1), rv);
+                rec.store(pc + 0x20, v_order.at(order.size() - 1), rv);
             }
             if (depth[v] == depth[u] + 1) {
                 sigma[v] += sigma[u];
-                RegId rsv = rec.load(v_sigma.at(v), rv);
-                RegId rsum = rec.alu(rsv, rsu);
-                rec.store(v_sigma.at(v), rsum, rv);
+                RegId rsv = rec.load(pc + 0x24, v_sigma.at(v), rv);
+                RegId rsum = rec.alu(pc + 0x28, rsv, rsu);
+                rec.store(pc + 0x2c, v_sigma.at(v), rsum, rv);
             }
         }
     }
@@ -295,25 +299,27 @@ recordBc(const Graph &g, TraceRecorder &rec, std::uint64_t seed)
     // Backward phase: dependency accumulation in reverse BFS order.
     for (std::size_t i = order.size(); i-- > 1 && !rec.full();) {
         Vertex w = order[i];
-        RegId rw = rec.load(v_order.at(i));
-        RegId rbeg = rec.load(csr.off.at(w), rw);
-        RegId rdw = rec.load(v_delta.at(w), rw);
-        RegId rsw = rec.load(v_sigma.at(w), rw);
+        RegId rw = rec.load(pc + 0x30, v_order.at(i));
+        RegId rbeg = rec.load(pc + 0x34, csr.off.at(w), rw);
+        RegId rdw = rec.load(pc + 0x38, v_delta.at(w), rw);
+        RegId rsw = rec.load(pc + 0x3c, v_sigma.at(w), rw);
         for (std::uint64_t e = g.begin(w); e < g.end(w); ++e) {
             if (rec.full())
                 break;
             Vertex v = g.neighbors[e];
-            RegId rv = rec.load(csr.nbr.at(e), rbeg);
-            RegId rd = rec.load(v_depth.at(v), rv);
+            RegId rv = rec.load(pc + 0x40, csr.nbr.at(e), rbeg);
+            RegId rd = rec.load(pc + 0x44, v_depth.at(v), rv);
             bool predecessor = depth[v] + 1 == depth[w];
-            rec.branch(predecessor, rd);
+            rec.branch(pc + 0x48, predecessor, rd);
             if (predecessor && sigma[w] > 0.0) {
-                RegId rsv = rec.load(v_sigma.at(v), rv);
-                RegId rdv = rec.load(v_delta.at(v), rv);
+                RegId rsv = rec.load(pc + 0x4c, v_sigma.at(v), rv);
+                RegId rdv = rec.load(pc + 0x50, v_delta.at(v), rv);
                 delta[v] += static_cast<float>(
                     sigma[v] / sigma[w] * (1.0 + delta[w]));
-                RegId rnew = rec.alu(rec.alu(rsv, rsw), rec.alu(rdv, rdw));
-                rec.store(v_delta.at(v), rnew, rv);
+                RegId rratio = rec.alu(pc + 0x54, rsv, rsw);
+                RegId rdsum = rec.alu(pc + 0x58, rdv, rdw);
+                RegId rnew = rec.alu(pc + 0x5c, rratio, rdsum);
+                rec.store(pc + 0x60, v_delta.at(v), rnew, rv);
             }
         }
         res.centrality[w] = delta[w];
@@ -324,41 +330,43 @@ recordBc(const Graph &g, TraceRecorder &rec, std::uint64_t seed)
 TcResult
 recordTc(const Graph &g, TraceRecorder &rec, std::uint64_t seed)
 {
+    constexpr Addr pc = codeBase(GapKernel::Tc);
     const Vertex n = g.numVertices();
     (void)seed;
     TcResult res;
 
-    // GAP pre-sorts adjacency lists before counting; the sort is setup,
-    // not part of the measured kernel, so it is not recorded.
-    Graph sorted = g;
-    for (Vertex v = 0; v < n; ++v) {
-        std::sort(sorted.neighbors.begin()
-                      + static_cast<std::ptrdiff_t>(sorted.begin(v)),
-                  sorted.neighbors.begin()
-                      + static_cast<std::ptrdiff_t>(sorted.end(v)));
-    }
-
-    CsrMirror csr(sorted, rec);
+    // GAP pre-sorts adjacency lists before counting; the sort is set-up,
+    // not part of the measured kernel, so it is not recorded. The kernel
+    // reads adj(u), and adj(v) only for v < u, so each list is sorted
+    // when its vertex is first visited: `sorted` holds the lists of
+    // vertices 0..u at their CSR positions.
+    std::vector<Vertex> sorted;
+    CsrMirror csr(g, rec);
 
     for (Vertex u = 0; u < n && !rec.full(); ++u) {
-        RegId rbu = rec.load(csr.off.at(u));
-        for (std::uint64_t e = sorted.begin(u); e < sorted.end(u); ++e) {
-            Vertex v = sorted.neighbors[e];
-            RegId rv = rec.load(csr.nbr.at(e), rbu);
+        const Vertex *adj = g.neighbors.data() + g.begin(u);
+        sorted.insert(sorted.end(), adj, adj + g.degree(u));
+        std::sort(sorted.end() - static_cast<std::ptrdiff_t>(g.degree(u)),
+                  sorted.end());
+        RegId rbu = rec.load(pc + 0x00, csr.off.at(u));
+        for (std::uint64_t e = g.begin(u); e < g.end(u); ++e) {
+            Vertex v = sorted[e];
+            RegId rv = rec.load(pc + 0x04, csr.nbr.at(e), rbu);
             if (v >= u)
                 break;    // count each triangle once (u > v ordering)
-            RegId rbv = rec.load(csr.off.at(v), rv);
+            RegId rbv = rec.load(pc + 0x08, csr.off.at(v), rv);
             // Merge-intersect adj(u) and adj(v), both sorted.
-            std::uint64_t i = sorted.begin(u);
-            std::uint64_t j = sorted.begin(v);
-            while (i < sorted.end(u) && j < sorted.end(v) && !rec.full()) {
-                Vertex a = sorted.neighbors[i];
-                Vertex b = sorted.neighbors[j];
+            std::uint64_t i = g.begin(u);
+            std::uint64_t j = g.begin(v);
+            while (i < g.end(u) && j < g.end(v) && !rec.full()) {
+                Vertex a = sorted[i];
+                Vertex b = sorted[j];
                 if (a >= v)
                     break;
-                RegId ra = rec.load(csr.nbr.at(i), rbu);
-                RegId rb = rec.load(csr.nbr.at(j), rbv);
-                rec.branch(a == b, rec.alu(ra, rb));
+                RegId ra = rec.load(pc + 0x0c, csr.nbr.at(i), rbu);
+                RegId rb = rec.load(pc + 0x10, csr.nbr.at(j), rbv);
+                RegId rcmp = rec.alu(pc + 0x14, ra, rb);
+                rec.branch(pc + 0x18, a == b, rcmp);
                 if (a == b) {
                     ++res.triangles;
                     ++i;
@@ -380,6 +388,7 @@ SsspResult
 recordSssp(const Graph &g, TraceRecorder &rec, std::uint64_t seed,
            std::uint32_t delta)
 {
+    constexpr Addr pc = codeBase(GapKernel::Sssp);
     const Vertex n = g.numVertices();
     Rng rng(seed);
     SsspResult res;
@@ -408,33 +417,36 @@ recordSssp(const Graph &g, TraceRecorder &rec, std::uint64_t seed,
 
     res.dist[res.source] = 0;
     push(res.source, 0);
-    rec.store(v_bucket.at(0));
+    rec.store(pc + 0x00, v_bucket.at(0));
 
     std::uint64_t bucket_writes = 1;
     for (std::size_t b = 0; b < buckets.size() && !rec.full(); ++b) {
         // Δ-stepping re-examines a bucket until it stops growing.
         for (std::size_t i = 0; i < buckets[b].size() && !rec.full(); ++i) {
             Vertex u = buckets[b][i];
-            RegId ru = rec.load(v_bucket.at(i % (n * 2)));
-            RegId rdu = rec.load(v_dist.at(u), ru);
+            RegId ru = rec.load(pc + 0x04, v_bucket.at(i % (n * 2)));
+            RegId rdu = rec.load(pc + 0x08, v_dist.at(u), ru);
             if (bucketOf(res.dist[u]) != b)
                 continue;    // stale entry
-            RegId rbeg = rec.load(csr.off.at(u), ru);
+            RegId rbeg = rec.load(pc + 0x0c, csr.off.at(u), ru);
             for (std::uint64_t e = g.begin(u); e < g.end(u); ++e) {
                 if (rec.full())
                     break;
                 Vertex v = g.neighbors[e];
-                RegId rv = rec.load(csr.nbr.at(e), rbeg);
-                RegId rw = rec.load(v_wgt.at(e), rbeg);
+                RegId rv = rec.load(pc + 0x10, csr.nbr.at(e), rbeg);
+                RegId rw = rec.load(pc + 0x14, v_wgt.at(e), rbeg);
                 std::uint32_t cand = res.dist[u] + weight(e);
-                RegId rdv = rec.load(v_dist.at(v), rv);
+                RegId rdv = rec.load(pc + 0x18, v_dist.at(v), rv);
                 bool relax = cand < res.dist[v];
-                rec.branch(relax, rec.alu(rdv, rec.alu(rdu, rw)));
+                RegId rcand = rec.alu(pc + 0x1c, rdu, rw);
+                RegId rcmp = rec.alu(pc + 0x20, rdv, rcand);
+                rec.branch(pc + 0x24, relax, rcmp);
                 if (relax) {
                     res.dist[v] = cand;
-                    rec.store(v_dist.at(v), rv);
+                    rec.store(pc + 0x28, v_dist.at(v), rv);
                     push(v, cand);
-                    rec.store(v_bucket.at(bucket_writes++ % (n * 2)), rv);
+                    rec.store(pc + 0x2c,
+                              v_bucket.at(bucket_writes++ % (n * 2)), rv);
                 }
             }
         }

@@ -44,6 +44,23 @@ constexpr GapKernel kAllGapKernels[] = {
 
 const char *toString(GapKernel k);
 
+/** Base of @p k's synthetic code: every PC it records lies in
+ *  [codeBase(k), codeBase(k) + kKernelCodeBytes). Fixed per kernel,
+ *  whatever the enum's order. */
+constexpr Addr
+codeBase(GapKernel k)
+{
+    switch (k) {
+      case GapKernel::Bfs: return 0x401000;
+      case GapKernel::Pr: return 0x402000;
+      case GapKernel::Cc: return 0x403000;
+      case GapKernel::Bc: return 0x404000;
+      case GapKernel::Tc: return 0x405000;
+      case GapKernel::Sssp: return 0x406000;
+    }
+    return 0;
+}
+
 /** Table IV traits. */
 struct GapKernelTraits
 {

@@ -5,10 +5,12 @@
  * Workload kernels (GAP graph algorithms, SPEC-like loops) execute their
  * real algorithm on host data structures and, as they run, record the
  * corresponding instruction stream through this API. Each recorder call
- * emits exactly one TraceInstr. Program counters are taken from the
- * caller's return address, so every *static* call site in a kernel gets a
- * stable, distinct PC — exactly the property PC-indexed predictors
- * (perceptron features, IPCP, Berti, SPP) rely on.
+ * emits exactly one TraceInstr at the PC the call site names: its
+ * kernel's code base (codeBase() in gap_kernels.hh / spec_kernels.hh)
+ * plus a literal offset fixed for that site. Every *static* call site
+ * thus gets a stable, distinct PC — the property PC-indexed predictors
+ * (perceptron features, IPCP, Berti, SPP) rely on — that no compiler,
+ * build type, link order or edit elsewhere can move.
  *
  * Register dependencies are explicit: load() returns the destination
  * register holding the loaded value and kernels thread those registers into
@@ -26,6 +28,10 @@
 
 namespace tlpsim::workloads
 {
+
+/** Bytes of synthetic code each kernel owns: the PCs kernel k records
+ *  lie in [codeBase(k), codeBase(k) + kKernelCodeBytes). */
+constexpr Addr kKernelCodeBytes = 0x1000;
 
 /** A virtual-address view of a host array mirrored into trace space. */
 struct VArray
@@ -80,41 +86,30 @@ class TraceRecorder
     }
 
     /**
-     * Emit a load from @p vaddr whose address depends on registers
-     * @p a / @p b. Returns the register the value lands in.
+     * Emit a load at @p ip from @p vaddr whose address depends on
+     * registers @p a / @p b. Returns the register the value lands in.
      */
-    [[gnu::noinline]] RegId load(Addr vaddr, RegId a = kNoReg,
-                                 RegId b = kNoReg);
+    RegId load(Addr ip, Addr vaddr, RegId a = kNoReg, RegId b = kNoReg);
 
-    /** Emit a store to @p vaddr with data/address dependencies. */
-    [[gnu::noinline]] void store(Addr vaddr, RegId a = kNoReg,
-                                 RegId b = kNoReg);
+    /** Emit a store at @p ip to @p vaddr with data/address dependencies. */
+    void store(Addr ip, Addr vaddr, RegId a = kNoReg, RegId b = kNoReg);
 
     /** Emit a 1-cycle ALU op consuming a/b, producing a new register. */
-    [[gnu::noinline]] RegId alu(RegId a = kNoReg, RegId b = kNoReg);
+    RegId alu(Addr ip, RegId a = kNoReg, RegId b = kNoReg);
 
     /** Emit a conditional branch with the given outcome. */
-    [[gnu::noinline]] void branch(bool taken, RegId a = kNoReg);
+    void branch(Addr ip, bool taken, RegId a = kNoReg);
 
     /** Emit an unconditional direct branch (loop back-edges, calls). */
-    [[gnu::noinline]] void jump();
+    void jump(Addr ip);
 
-    /** Emit @p n independent filler ALU ops (same PC site). */
+    /** Emit @p n independent filler ALU ops, all at @p ip. */
     void
-    ops(unsigned n)
+    ops(Addr ip, unsigned n)
     {
         for (unsigned i = 0; i < n; ++i)
-            alu();
+            alu(ip);
     }
-
-    /**
-     * Explicit-PC variants, used by unit tests and microbenchmarks where
-     * a synthetic, build-independent PC is required.
-     */
-    RegId loadAt(Addr ip, Addr vaddr, RegId a = kNoReg, RegId b = kNoReg);
-    void storeAt(Addr ip, Addr vaddr, RegId a = kNoReg, RegId b = kNoReg);
-    RegId aluAt(Addr ip, RegId a = kNoReg, RegId b = kNoReg);
-    void branchAt(Addr ip, bool taken, RegId a = kNoReg);
 
   private:
     /** Rotate through architectural registers 1..kNumRegs-1. */

@@ -32,6 +32,7 @@ namespace
 void
 recordMcfPchase(TraceRecorder &rec, std::uint64_t seed, unsigned ws_shift)
 {
+    constexpr Addr pc = codeBase(SpecKernel::McfPchase);
     Rng rng(seed);
     const std::uint64_t nodes = (std::uint64_t{4} << 20) >> ws_shift; // 32 MB
     VArray v_next = rec.allocArray(nodes, 8);
@@ -45,15 +46,15 @@ recordMcfPchase(TraceRecorder &rec, std::uint64_t seed, unsigned ws_shift)
         std::swap(next[i], next[rng.below(i)]);
 
     std::uint64_t cur = 0;
-    RegId rptr = rec.alu();
+    RegId rptr = rec.alu(pc + 0x00);
     std::uint64_t step = 0;
     while (!rec.full()) {
-        rptr = rec.load(v_next.at(cur), rptr);       // serialized chase
-        RegId rc = rec.load(v_cost.at(cur), rptr);
-        RegId rsum = rec.alu(rc, rptr);
-        rec.branch((step & 7) != 7, rsum);
+        rptr = rec.load(pc + 0x04, v_next.at(cur), rptr);   // serialized chase
+        RegId rc = rec.load(pc + 0x08, v_cost.at(cur), rptr);
+        RegId rsum = rec.alu(pc + 0x0c, rc, rptr);
+        rec.branch(pc + 0x10, (step & 7) != 7, rsum);
         if ((step & 7) == 7)
-            rec.store(v_cost.at(cur), rsum);         // arc-cost update
+            rec.store(pc + 0x14, v_cost.at(cur), rsum);     // arc-cost update
         cur = next[cur];
         ++step;
     }
@@ -63,6 +64,7 @@ recordMcfPchase(TraceRecorder &rec, std::uint64_t seed, unsigned ws_shift)
 void
 recordLbmStencil(TraceRecorder &rec, std::uint64_t seed, unsigned ws_shift)
 {
+    constexpr Addr pc = codeBase(SpecKernel::LbmStencil);
     (void)seed;
     const std::uint64_t dim = 128 >> (ws_shift / 3);
     const std::uint64_t cells = dim * dim * dim;    // 128^3*8B*2 = 32 MB
@@ -80,25 +82,25 @@ recordLbmStencil(TraceRecorder &rec, std::uint64_t seed, unsigned ws_shift)
                     if (rec.full())
                         break;
                     std::uint64_t c = idx(x, y, z);
-                    RegId r0 = rec.load(v_src.at(c));
-                    RegId r1 = rec.load(v_src.at(c - 1));
-                    RegId r2 = rec.load(v_src.at(c + 1));
-                    RegId r3 = rec.load(v_src.at(c - dim));
-                    RegId r4 = rec.load(v_src.at(c + dim));
-                    RegId r5 = rec.load(v_src.at(c - dim * dim));
-                    RegId r6 = rec.load(v_src.at(c + dim * dim));
-                    RegId s1 = rec.alu(r0, r1);
-                    RegId s2 = rec.alu(r2, r3);
-                    RegId s3 = rec.alu(r4, r5);
-                    RegId s4 = rec.alu(s1, s2);
-                    RegId s5 = rec.alu(s3, r6);
-                    RegId s6 = rec.alu(s4, s5);
-                    rec.store(v_dst.at(c), s6);
+                    RegId r0 = rec.load(pc + 0x00, v_src.at(c));
+                    RegId r1 = rec.load(pc + 0x04, v_src.at(c - 1));
+                    RegId r2 = rec.load(pc + 0x08, v_src.at(c + 1));
+                    RegId r3 = rec.load(pc + 0x0c, v_src.at(c - dim));
+                    RegId r4 = rec.load(pc + 0x10, v_src.at(c + dim));
+                    RegId r5 = rec.load(pc + 0x14, v_src.at(c - dim * dim));
+                    RegId r6 = rec.load(pc + 0x18, v_src.at(c + dim * dim));
+                    RegId s1 = rec.alu(pc + 0x1c, r0, r1);
+                    RegId s2 = rec.alu(pc + 0x20, r2, r3);
+                    RegId s3 = rec.alu(pc + 0x24, r4, r5);
+                    RegId s4 = rec.alu(pc + 0x28, s1, s2);
+                    RegId s5 = rec.alu(pc + 0x2c, s3, r6);
+                    RegId s6 = rec.alu(pc + 0x30, s4, s5);
+                    rec.store(pc + 0x34, v_dst.at(c), s6);
                 }
             }
         }
         std::swap(v_src, v_dst);
-        rec.jump();
+        rec.jump(pc + 0x38);
     }
 }
 
@@ -106,18 +108,19 @@ recordLbmStencil(TraceRecorder &rec, std::uint64_t seed, unsigned ws_shift)
 void
 recordLibqStream(TraceRecorder &rec, std::uint64_t seed, unsigned ws_shift)
 {
+    constexpr Addr pc = codeBase(SpecKernel::LibqStream);
     (void)seed;
     const std::uint64_t elems = (std::uint64_t{4} << 20) >> ws_shift; // 32 MB
     VArray v_state = rec.allocArray(elems, 8);
 
     while (!rec.full()) {
         for (std::uint64_t i = 0; i < elems && !rec.full(); ++i) {
-            RegId r = rec.load(v_state.at(i));
-            RegId t = rec.alu(r);
-            rec.store(v_state.at(i), t);
-            rec.branch((i & 63) == 63, t);    // gate-block boundary
+            RegId r = rec.load(pc + 0x00, v_state.at(i));
+            RegId t = rec.alu(pc + 0x04, r);
+            rec.store(pc + 0x08, v_state.at(i), t);
+            rec.branch(pc + 0x0c, (i & 63) == 63, t);    // gate-block boundary
         }
-        rec.jump();
+        rec.jump(pc + 0x10);
     }
 }
 
@@ -125,6 +128,7 @@ recordLibqStream(TraceRecorder &rec, std::uint64_t seed, unsigned ws_shift)
 void
 recordOmnetppHeap(TraceRecorder &rec, std::uint64_t seed, unsigned ws_shift)
 {
+    constexpr Addr pc = codeBase(SpecKernel::OmnetppHeap);
     Rng rng(seed);
     const std::uint64_t heap_cap = std::uint64_t{1} << 20;
     const std::uint64_t payloads = (std::uint64_t{2} << 20) >> ws_shift;
@@ -137,15 +141,16 @@ recordOmnetppHeap(TraceRecorder &rec, std::uint64_t seed, unsigned ws_shift)
     auto siftUp = [&](std::size_t i) {
         while (i > 0 && !rec.full()) {
             std::size_t p = (i - 1) / 2;
-            RegId rc = rec.load(v_heap.at(i));
-            RegId rp = rec.load(v_heap.at(p));
+            RegId rc = rec.load(pc + 0x00, v_heap.at(i));
+            RegId rp = rec.load(pc + 0x04, v_heap.at(p));
             bool swap_up = heap[i] < heap[p];
-            rec.branch(swap_up, rec.alu(rc, rp));
+            RegId rcmp = rec.alu(pc + 0x08, rc, rp);
+            rec.branch(pc + 0x0c, swap_up, rcmp);
             if (!swap_up)
                 break;
             std::swap(heap[i], heap[p]);
-            rec.store(v_heap.at(i), rp);
-            rec.store(v_heap.at(p), rc);
+            rec.store(pc + 0x10, v_heap.at(i), rp);
+            rec.store(pc + 0x14, v_heap.at(p), rc);
             i = p;
         }
     };
@@ -158,21 +163,22 @@ recordOmnetppHeap(TraceRecorder &rec, std::uint64_t seed, unsigned ws_shift)
             if (l >= heap.size())
                 break;
             std::size_t m = l;
-            RegId rl = rec.load(v_heap.at(l));
+            RegId rl = rec.load(pc + 0x18, v_heap.at(l));
             if (r < heap.size()) {
-                RegId rr = rec.load(v_heap.at(r));
+                RegId rr = rec.load(pc + 0x1c, v_heap.at(r));
                 if (heap[r] < heap[l])
                     m = r;
-                rec.branch(m == r, rec.alu(rl, rr));
+                RegId rcmp = rec.alu(pc + 0x20, rl, rr);
+                rec.branch(pc + 0x24, m == r, rcmp);
             }
-            RegId ri = rec.load(v_heap.at(i));
+            RegId ri = rec.load(pc + 0x28, v_heap.at(i));
             bool swap_down = heap[m] < heap[i];
-            rec.branch(swap_down, ri);
+            rec.branch(pc + 0x2c, swap_down, ri);
             if (!swap_down)
                 break;
             std::swap(heap[i], heap[m]);
-            rec.store(v_heap.at(i), ri);
-            rec.store(v_heap.at(m), ri);
+            rec.store(pc + 0x30, v_heap.at(i), ri);
+            rec.store(pc + 0x34, v_heap.at(m), ri);
             i = m;
         }
     };
@@ -184,19 +190,19 @@ recordOmnetppHeap(TraceRecorder &rec, std::uint64_t seed, unsigned ws_shift)
                                    && rng.chance(0.55))) {
             std::uint64_t key = rng.next() >> 16;
             heap.push_back(key);
-            rec.store(v_heap.at(heap.size() - 1));
+            rec.store(pc + 0x38, v_heap.at(heap.size() - 1));
             siftUp(heap.size() - 1);
         } else if (!heap.empty()) {
             std::uint64_t key = heap[0];
             // Touch the event payload (irregular, large working set).
             std::uint64_t pi = key % payloads;
-            RegId rp0 = rec.load(v_payload.at(pi));
-            RegId rp1 = rec.load(v_payload.at(pi) + 16, rp0);
-            rec.store(v_payload.at(pi) + 24, rp1);
+            RegId rp0 = rec.load(pc + 0x3c, v_payload.at(pi));
+            RegId rp1 = rec.load(pc + 0x40, v_payload.at(pi) + 16, rp0);
+            rec.store(pc + 0x44, v_payload.at(pi) + 24, rp1);
             heap[0] = heap.back();
             heap.pop_back();
             if (!heap.empty()) {
-                rec.store(v_heap.at(0));
+                rec.store(pc + 0x48, v_heap.at(0));
                 siftDown();
             }
         }
@@ -207,6 +213,7 @@ recordOmnetppHeap(TraceRecorder &rec, std::uint64_t seed, unsigned ws_shift)
 void
 recordXalanHash(TraceRecorder &rec, std::uint64_t seed, unsigned ws_shift)
 {
+    constexpr Addr pc = codeBase(SpecKernel::XalanHash);
     Rng rng(seed);
     const std::uint64_t slots = (std::uint64_t{4} << 20) >> ws_shift;
     VArray v_table = rec.allocArray(slots, 16);    // 64 MB at full size
@@ -219,18 +226,18 @@ recordXalanHash(TraceRecorder &rec, std::uint64_t seed, unsigned ws_shift)
         std::uint64_t key = rng.next() | 1;
         bool insert = population < target_pop || rng.chance(0.1);
         std::uint64_t h = mix64(key) % slots;
-        RegId rk = rec.alu();
+        RegId rk = rec.alu(pc + 0x00);
         for (std::uint64_t probe = 0; probe < slots && !rec.full(); ++probe) {
             std::uint64_t s = (h + probe) % slots;
-            RegId rs = rec.load(v_table.at(s), rk);
+            RegId rs = rec.load(pc + 0x04, v_table.at(s), rk);
             bool end = table[s] == 0 || table[s] == key;
-            rec.branch(end, rs);
+            rec.branch(pc + 0x08, end, rs);
             if (end) {
                 if (insert && table[s] == 0) {
                     table[s] = key;
                     ++population;
-                    rec.store(v_table.at(s), rs);
-                    rec.store(v_table.at(s) + 8, rs);
+                    rec.store(pc + 0x0c, v_table.at(s), rs);
+                    rec.store(pc + 0x10, v_table.at(s) + 8, rs);
                 }
                 break;
             }
@@ -242,6 +249,7 @@ recordXalanHash(TraceRecorder &rec, std::uint64_t seed, unsigned ws_shift)
 void
 recordGccMixed(TraceRecorder &rec, std::uint64_t seed, unsigned ws_shift)
 {
+    constexpr Addr pc = codeBase(SpecKernel::GccMixed);
     Rng rng(seed);
     const std::uint64_t hot = (std::uint64_t{64} << 10);            // 512 KB
     const std::uint64_t cold = (std::uint64_t{1} << 20) >> ws_shift; // 8 MB
@@ -252,18 +260,18 @@ recordGccMixed(TraceRecorder &rec, std::uint64_t seed, unsigned ws_shift)
         // Hot loop: fits in L2, branch-heavy.
         std::uint64_t i = rng.below(hot);
         for (unsigned k = 0; k < 12 && !rec.full(); ++k) {
-            RegId r = rec.load(v_hot.at(i));
+            RegId r = rec.load(pc + 0x00, v_hot.at(i));
             bool t = (mix64(i + k) & 3) != 0;
-            rec.branch(t, r);
+            rec.branch(pc + 0x04, t, r);
             i = (i + (t ? 1 : 17)) % hot;
-            rec.ops(2);
+            rec.ops(pc + 0x08, 2);
         }
         // Cold excursion: IR node visit far from the hot set.
         std::uint64_t j = rng.below(cold);
-        RegId rc = rec.load(v_cold.at(j));
-        RegId rc2 = rec.load(v_cold.at((j + 5) % cold), rc);
-        rec.branch((mix64(j) & 7) == 0, rc2);
-        rec.store(v_cold.at(j), rc2);
+        RegId rc = rec.load(pc + 0x0c, v_cold.at(j));
+        RegId rc2 = rec.load(pc + 0x10, v_cold.at((j + 5) % cold), rc);
+        rec.branch(pc + 0x14, (mix64(j) & 7) == 0, rc2);
+        rec.store(pc + 0x18, v_cold.at(j), rc2);
     }
 }
 
@@ -271,6 +279,7 @@ recordGccMixed(TraceRecorder &rec, std::uint64_t seed, unsigned ws_shift)
 void
 recordDeepsjengTt(TraceRecorder &rec, std::uint64_t seed, unsigned ws_shift)
 {
+    constexpr Addr pc = codeBase(SpecKernel::DeepsjengTt);
     Rng rng(seed);
     const std::uint64_t entries = (std::uint64_t{4} << 20) >> ws_shift;
     VArray v_tt = rec.allocArray(entries, 16);     // 64 MB at full size
@@ -278,17 +287,17 @@ recordDeepsjengTt(TraceRecorder &rec, std::uint64_t seed, unsigned ws_shift)
     while (!rec.full()) {
         std::uint64_t hash = rng.next();
         std::uint64_t slot = hash % entries;
-        RegId rtag = rec.load(v_tt.at(slot));
-        RegId rval = rec.load(v_tt.at(slot) + 8, rtag);
+        RegId rtag = rec.load(pc + 0x00, v_tt.at(slot));
+        RegId rval = rec.load(pc + 0x04, v_tt.at(slot) + 8, rtag);
         bool hit = (hash & 7) < 3;                 // ~37 % TT hit rate
-        rec.branch(hit, rval);
+        rec.branch(pc + 0x08, hit, rval);
         if (!hit) {
             // Search work then store the new entry.
-            rec.ops(6);
-            rec.store(v_tt.at(slot), rval);
-            rec.store(v_tt.at(slot) + 8, rval);
+            rec.ops(pc + 0x0c, 6);
+            rec.store(pc + 0x10, v_tt.at(slot), rval);
+            rec.store(pc + 0x14, v_tt.at(slot) + 8, rval);
         } else {
-            rec.ops(2);
+            rec.ops(pc + 0x18, 2);
         }
     }
 }
@@ -297,6 +306,7 @@ recordDeepsjengTt(TraceRecorder &rec, std::uint64_t seed, unsigned ws_shift)
 void
 recordRomsSpmv(TraceRecorder &rec, std::uint64_t seed, unsigned ws_shift)
 {
+    constexpr Addr pc = codeBase(SpecKernel::RomsSpmv);
     Rng rng(seed);
     const std::uint64_t rows = (std::uint64_t{1} << 20) >> ws_shift;
     const unsigned nnz_per_row = 12;
@@ -319,17 +329,18 @@ recordRomsSpmv(TraceRecorder &rec, std::uint64_t seed, unsigned ws_shift)
 
     while (!rec.full()) {
         for (std::uint64_t r = 0; r < rows && !rec.full(); ++r) {
-            RegId racc = rec.alu();
+            RegId racc = rec.alu(pc + 0x00);
             for (unsigned k = 0; k < nnz_per_row; ++k) {
                 std::uint64_t e = r * nnz_per_row + k;
-                RegId rc = rec.load(v_cols.at(e));
-                RegId rv = rec.load(v_vals.at(e));
-                RegId rx = rec.load(v_x.at(cols[e]), rc);   // gather
-                racc = rec.alu(racc, rec.alu(rv, rx));
+                RegId rc = rec.load(pc + 0x04, v_cols.at(e));
+                RegId rv = rec.load(pc + 0x08, v_vals.at(e));
+                RegId rx = rec.load(pc + 0x0c, v_x.at(cols[e]), rc); // gather
+                RegId rprod = rec.alu(pc + 0x10, rv, rx);
+                racc = rec.alu(pc + 0x14, racc, rprod);
             }
-            rec.store(v_y.at(r), racc);
+            rec.store(pc + 0x18, v_y.at(r), racc);
         }
-        rec.jump();
+        rec.jump(pc + 0x1c);
     }
 }
 

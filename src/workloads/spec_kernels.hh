@@ -43,6 +43,25 @@ constexpr SpecKernel kAllSpecKernels[] = {
 
 const char *toString(SpecKernel k);
 
+/** Base of @p k's synthetic code: every PC it records lies in
+ *  [codeBase(k), codeBase(k) + kKernelCodeBytes). Fixed per kernel,
+ *  whatever the enum's order. */
+constexpr Addr
+codeBase(SpecKernel k)
+{
+    switch (k) {
+      case SpecKernel::McfPchase: return 0x411000;
+      case SpecKernel::LbmStencil: return 0x412000;
+      case SpecKernel::LibqStream: return 0x413000;
+      case SpecKernel::OmnetppHeap: return 0x414000;
+      case SpecKernel::XalanHash: return 0x415000;
+      case SpecKernel::GccMixed: return 0x416000;
+      case SpecKernel::DeepsjengTt: return 0x417000;
+      case SpecKernel::RomsSpmv: return 0x418000;
+    }
+    return 0;
+}
+
 /**
  * Record @p k until the recorder is full.
  *

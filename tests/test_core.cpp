@@ -100,7 +100,7 @@ TEST(Core, IndependentAluRunsAtFetchWidth)
 {
     Trace t = makeTrace([](auto &rec) {
         while (!rec.full())
-            rec.alu();
+            rec.alu(0x400000);
     });
     CoreRig rig(t);
     Cycle c = rig.runUntil(8000);
@@ -112,9 +112,9 @@ TEST(Core, IndependentAluRunsAtFetchWidth)
 TEST(Core, DependentChainRunsAtOneIpc)
 {
     Trace t = makeTrace([](auto &rec) {
-        RegId r = rec.alu();
+        RegId r = rec.alu(0x400000);
         while (!rec.full())
-            r = rec.alu(r);   // serial dependence
+            r = rec.alu(0x400004, r);   // serial dependence
     });
     CoreRig rig(t);
     Cycle c = rig.runUntil(8000);
@@ -130,7 +130,7 @@ TEST(Core, LoadLatencyBoundsDependentChain)
         Addr a = Addr{1} << 32;
         RegId r = kNoReg;
         while (!rec.full())
-            r = rec.load(a, r);
+            r = rec.load(0x400000, a, r);
     });
     CoreRig rig(t, 8);
     Cycle c = rig.runUntil(2000);
@@ -144,15 +144,15 @@ TEST(Core, MispredictsThrottleFetch)
     // Random branches: every mispredict stalls fetch until resolution.
     Trace biased = makeTrace([](auto &rec) {
         while (!rec.full()) {
-            rec.branch(true);
-            rec.ops(3);
+            rec.branch(0x400000, true);
+            rec.ops(0x400004, 3);
         }
     });
     Trace random = makeTrace([](auto &rec) {
         Rng rng(4);
         while (!rec.full()) {
-            rec.branch(rng.chance(0.5));
-            rec.ops(3);
+            rec.branch(0x400008, rng.chance(0.5));
+            rec.ops(0x40000c, 3);
         }
     });
     CoreRig rig_biased(biased);
@@ -167,9 +167,9 @@ TEST(Core, StoreToLoadForwardingSkipsCache)
     Trace t = makeTrace([](auto &rec) {
         Addr a = Addr{1} << 32;
         while (!rec.full()) {
-            RegId v = rec.alu();
-            rec.store(a, v);
-            rec.load(a);      // forwarded from the pending store
+            RegId v = rec.alu(0x400000);
+            rec.store(0x400004, a, v);
+            rec.load(0x400008, a);   // forwarded from the pending store
         }
     });
     CoreRig rig(t, 100);      // L1D painfully slow: forwarding must bypass
@@ -183,7 +183,7 @@ TEST(Core, PageWalksGoToWalkTarget)
         Addr a = Addr{1} << 32;
         std::uint64_t i = 0;
         while (!rec.full()) {
-            rec.load(a + (i * 5) * kPageSize);   // new page every load
+            rec.load(0x400000, a + (i * 5) * kPageSize);   // new page
             ++i;
         }
     });
@@ -200,7 +200,7 @@ TEST(Core, TlbHitsAfterWalk)
     Trace t = makeTrace([](auto &rec) {
         Addr a = Addr{1} << 32;
         while (!rec.full())
-            rec.load(a);   // one page forever
+            rec.load(0x400000, a);   // one page forever
     });
     CoreRig rig(t);
     rig.runUntil(5000);
@@ -214,8 +214,8 @@ TEST(Core, StoresWriteThroughAtRetire)
         Addr a = Addr{1} << 32;
         std::uint64_t i = 0;
         while (!rec.full()) {
-            rec.store(a + (i % 64) * 64);
-            rec.ops(2);
+            rec.store(0x400000, a + (i % 64) * 64);
+            rec.ops(0x400004, 2);
             ++i;
         }
     });
@@ -242,8 +242,8 @@ TEST(Core, OffchipImmediateFiresSpecToDram)
         Addr a = Addr{1} << 32;
         std::uint64_t i = 0;
         while (!rec.full()) {
-            rec.load(a + (i++ % 512) * 64);
-            rec.ops(3);
+            rec.load(0x400000, a + (i++ % 512) * 64);
+            rec.ops(0x400004, 3);
         }
     });
     CoreRig rig(t, 4, &offchip, &dram);
@@ -273,7 +273,7 @@ TEST(Core, DelayedFlagTagsPackets)
         Addr a = Addr{1} << 32;
         std::uint64_t i = 0;
         while (!rec.full())
-            rec.load(a + (i++ % 512) * 64);
+            rec.load(0x400000, a + (i++ % 512) * 64);
     });
     CoreRig rig(t, 4, &offchip, nullptr);
     rig.runUntil(500);
@@ -296,7 +296,7 @@ TEST(Core, TrainsOffchipOnDemandReturnOnly)
         Addr a = Addr{1} << 32;
         std::uint64_t i = 0;
         while (!rec.full())
-            rec.load(a + (i++ % 512) * 64);
+            rec.load(0x400000, a + (i++ % 512) * 64);
     });
     CoreRig rig(t, 4, &offchip, nullptr);
     rig.runUntil(1000);
@@ -318,9 +318,9 @@ TEST(Core, LoadBlockedAtIssueIsPredictedAndTranslatedOnce)
 
     const Addr a = Addr{1} << 32;
     Trace t = makeTrace([a](auto &rec) {
-        rec.load(a);
+        rec.load(0x400000, a);
         while (!rec.full())
-            rec.alu();
+            rec.alu(0x400004);
     });
     CoreRig rig(t, 4, &offchip, nullptr);
     rig.stlb.install(a);
@@ -360,9 +360,9 @@ TEST(Core, LoadBlockedOnItsWalkIsTranslatedOnce)
     // cycles looks the TLBs up once, when the walk can be sent.
     const Addr a = Addr{1} << 32;
     Trace t = makeTrace([a](auto &rec) {
-        rec.load(a);
+        rec.load(0x400000, a);
         while (!rec.full())
-            rec.alu();
+            rec.alu(0x400004);
     });
     CoreRig rig(t);
     rig.walk.reject_reads = true;
@@ -391,7 +391,7 @@ TEST(Core, RetiredMonotonicAndExact)
 {
     Trace t = makeTrace([](auto &rec) {
         while (!rec.full())
-            rec.alu();
+            rec.alu(0x400000);
     }, 100);
     CoreRig rig(t);
     InstrCount last = 0;

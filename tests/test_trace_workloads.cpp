@@ -9,11 +9,13 @@
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <queue>
 
 #include "common/bitops.hh"
 #include "common/config.hh"
 #include "trace/trace.hh"
+#include "tracefile/format.hh"
 #include "workloads/gap_kernels.hh"
 #include "workloads/graph.hh"
 #include "workloads/recorder.hh"
@@ -68,10 +70,10 @@ TEST(Trace, RecordSize)
 TEST(Trace, SummaryCounts)
 {
     Trace t = record(100, [](TraceRecorder &rec) {
-        RegId r = rec.load(0x100000000);
-        rec.store(0x100000040, r);
-        rec.branch(true, r);
-        rec.alu(r);
+        RegId r = rec.load(0x400000, 0x100000000);
+        rec.store(0x400004, 0x100000040, r);
+        rec.branch(0x400008, true, r);
+        rec.alu(0x40000c, r);
     });
     auto s = t.summarize();
     EXPECT_EQ(s.instrs, 4u);
@@ -85,9 +87,9 @@ TEST(Trace, SummaryCounts)
 TEST(Trace, ReaderLoops)
 {
     Trace t = record(100, [](TraceRecorder &rec) {
-        rec.alu();
-        rec.alu();
-        rec.alu();
+        rec.alu(0x400000);
+        rec.alu(0x400004);
+        rec.alu(0x400008);
     });
     TraceReader r(t);
     for (int i = 0; i < 10; ++i)
@@ -98,8 +100,8 @@ TEST(Trace, ReaderLoops)
 TEST(Trace, ReaderPeekDoesNotConsume)
 {
     Trace t = record(100, [](TraceRecorder &rec) {
-        rec.load(0x100000000);
-        rec.alu();
+        rec.load(0x400000, 0x100000000);
+        rec.alu(0x400004);
     });
     TraceReader r(t);
     const TraceInstr &p1 = r.peek();
@@ -112,37 +114,17 @@ TEST(Recorder, StopsAtMaxInstrs)
 {
     Trace t = record(10, [](TraceRecorder &rec) {
         while (!rec.full())
-            rec.alu();
+            rec.alu(0x400000);
     });
     EXPECT_EQ(t.size(), 10u);
-}
-
-TEST(Recorder, DistinctCallSitesGetDistinctPcs)
-{
-    Trace t = record(10, [](TraceRecorder &rec) {
-        rec.load(0x100000000);   // site A
-        rec.load(0x100000040);   // site B
-    });
-    EXPECT_NE(t.at(0).ip, t.at(1).ip);
-}
-
-TEST(Recorder, SameCallSiteSamePc)
-{
-    volatile int iters = 3;   // opaque bound: prevent full unrolling
-    Trace t = record(10, [&](TraceRecorder &rec) {
-        for (int i = 0; i < iters; ++i)
-            rec.load(0x100000000 + static_cast<Addr>(i) * 64);
-    });
-    EXPECT_EQ(t.at(0).ip, t.at(1).ip);
-    EXPECT_EQ(t.at(1).ip, t.at(2).ip);
 }
 
 TEST(Recorder, RegisterDependencyChain)
 {
     Trace t = record(10, [](TraceRecorder &rec) {
-        RegId a = rec.load(0x100000000);
-        RegId b = rec.load(0x100001000, a);   // address depends on a
-        rec.alu(a, b);
+        RegId a = rec.load(0x400000, 0x100000000);
+        RegId b = rec.load(0x400004, 0x100001000, a);   // address uses a
+        rec.alu(0x400008, a, b);
     });
     EXPECT_EQ(t.at(1).src0, t.at(0).dst);
     EXPECT_EQ(t.at(2).src0, t.at(0).dst);
@@ -153,7 +135,7 @@ TEST(Recorder, RegistersRotateAvoidingZero)
 {
     Trace t = record(200, [](TraceRecorder &rec) {
         for (int i = 0; i < 200; ++i)
-            rec.alu();
+            rec.alu(0x400000);
     });
     for (std::size_t i = 0; i < t.size(); ++i)
         EXPECT_NE(t.at(i).dst, kNoReg);
@@ -172,15 +154,19 @@ TEST(Recorder, AllocPageAlignedAndDisjoint)
     EXPECT_GE(c, b + 2 * kPageSize);  // 5000 B rounds to 2 pages + guard
 }
 
-TEST(Recorder, ExplicitIpVariants)
+TEST(Recorder, RecordsTheGivenPc)
 {
     Trace t("x");
     TraceRecorder rec(t, {100, Addr{1} << 32});
-    rec.loadAt(0x1234, 0x100000000);
-    rec.branchAt(0x5678, false);
+    rec.load(0x1234, 0x100000000);
+    rec.branch(0x5678, false);
+    rec.ops(0x9abc, 2);
+    ASSERT_EQ(t.size(), 4u);
     EXPECT_EQ(t.at(0).ip, 0x1234u);
     EXPECT_EQ(t.at(1).ip, 0x5678u);
     EXPECT_FALSE(t.at(1).taken);
+    EXPECT_EQ(t.at(2).ip, 0x9abcu);   // ops keeps one PC for all n
+    EXPECT_EQ(t.at(3).ip, 0x9abcu);
 }
 
 // --- Graph generation ----------------------------------------------------
@@ -635,6 +621,112 @@ TEST(Workloads, BuildTraceOfHugeLengthReturnsWholeKernel)
     ASSERT_LT(t.size(), 2'000'000'000u);
     // Room for one more record still ends there: the kernel finished.
     EXPECT_EQ(buildTrace(*it, t.size() + 1, 1).size(), t.size());
+}
+
+TEST(Workloads, RecordedTracesMatchPinnedOutput)
+{
+    // Every Tiny-set trace's exact bytes, ip included: the FNV-1a hash
+    // of its on-disk record images, the payload checksum a .tlt file of
+    // it carries. Site PCs are literals, so these hold for every
+    // compiler and build type. A set-up change (how a graph is built, or
+    // when an adjacency list is sorted) must leave them all unchanged.
+    const std::map<std::string, std::uint64_t> pinned = {
+        {"bfs.kron", 0xf8d80f30a01dc194ULL},
+        {"bfs.road", 0xb70180a41fc3942eULL},
+        {"pr.kron", 0x1710fa53de7cc101ULL},
+        {"pr.road", 0x59022686c0dcafe0ULL},
+        {"cc.kron", 0x417c0898d516696eULL},
+        {"cc.road", 0x18ca883294b9556dULL},
+        {"bc.kron", 0xec96f61ab465e1ddULL},
+        {"bc.road", 0xc1f0021737b06966ULL},
+        {"tc.kron", 0x6eaef1429c0e9176ULL},
+        {"tc.road", 0xe57183a2ddb9b9c2ULL},
+        {"sssp.kron", 0x999193863937888fULL},
+        {"sssp.road", 0x8f4358b00bc628dfULL},
+        {"mcf_pchase", 0xea641ba216766d58ULL},
+        {"libq_stream", 0xe2f7b18f0a8c8d14ULL},
+    };
+    const auto ws = singleCoreWorkloads(SetSize::Tiny);
+    ASSERT_EQ(ws.size(), pinned.size());
+    for (const WorkloadSpec &w : ws) {
+        const Trace t = buildTrace(w, 500'000, 1);
+        tracefile::Fnv1a64 sum;
+        unsigned char image[tracefile::kRecordSize];
+        for (std::size_t i = 0; i < t.size(); ++i) {
+            tracefile::encodeRecord(t.at(i), image);
+            sum.update(image, sizeof image);
+        }
+        ASSERT_TRUE(pinned.contains(w.name)) << w.name;
+        EXPECT_EQ(sum.value(), pinned.at(w.name))
+            << w.name << " (" << t.size() << " records)" << std::hex
+            << ": 0x" << sum.value();
+    }
+    GraphCache::clear();
+}
+
+TEST(Workloads, PcsHaveOneKindAndStayInTheirKernelsCode)
+{
+    // Over every Small-set trace: a PC names one call site, so it is
+    // recorded for one instruction kind only, and it lies in the code
+    // range of the kernel that recorded it. The Tiny graphs let every
+    // GAP kernel run to its end, through phases (BC's backward pass) no
+    // Small-set trace reaches.
+    std::vector<Addr> bases;
+    for (GapKernel k : kAllGapKernels)
+        bases.push_back(codeBase(k));
+    for (SpecKernel k : kAllSpecKernels)
+        bases.push_back(codeBase(k));
+    std::sort(bases.begin(), bases.end());
+    for (std::size_t i = 1; i < bases.size(); ++i)
+        EXPECT_GE(bases[i] - bases[i - 1], kKernelCodeBytes);
+
+    auto codeOf = [](const std::string &workload) -> Addr {
+        const std::string kernel = workload.substr(0, workload.find('.'));
+        for (GapKernel k : kAllGapKernels) {
+            if (kernel == toString(k))
+                return codeBase(k);
+        }
+        for (SpecKernel k : kAllSpecKernels) {
+            if (kernel == toString(k))
+                return codeBase(k);
+        }
+        return 0;
+    };
+    auto kindOf = [](const TraceInstr &in) {
+        if (in.isLoad())
+            return 'L';
+        if (in.isStore())
+            return 'S';
+        if (in.branch == BranchKind::Conditional)
+            return 'B';
+        if (in.branch == BranchKind::Direct)
+            return 'J';
+        return 'A';
+    };
+    std::map<Addr, char> kind;
+    auto check = [&](const WorkloadSpec &w, std::uint64_t length) {
+        const Addr base = codeOf(w.name);
+        ASSERT_NE(base, 0u) << w.name;
+        const Trace t = buildTrace(w, length, 1);
+        std::size_t stray = 0;
+        std::size_t clash = 0;
+        for (std::size_t i = 0; i < t.size(); ++i) {
+            const TraceInstr &in = t.at(i);
+            if (in.ip < base || in.ip >= base + kKernelCodeBytes)
+                ++stray;
+            if (kind.emplace(in.ip, kindOf(in)).first->second != kindOf(in))
+                ++clash;
+        }
+        EXPECT_EQ(stray, 0u) << w.name << " at " << length
+                             << " records: PCs outside its kernel's code";
+        EXPECT_EQ(clash, 0u) << w.name << " at " << length
+                             << " records: PCs of two instruction kinds";
+    };
+    for (const WorkloadSpec &w : singleCoreWorkloads(SetSize::Small))
+        check(w, 100'000);
+    for (const WorkloadSpec &w : singleCoreWorkloads(SetSize::Tiny))
+        check(w, 3'000'000);
+    GraphCache::clear();
 }
 
 TEST(Workloads, MixesFollowPaperRecipe)

@@ -332,7 +332,8 @@ tick(int cycle)
     pool.push_back(cycle);
     pool.push_back(*fresh);   // tlpsim:waive(hotpath) capacity reserved
     auto *sneaky = new int(1);   // tlpsim:waive(hotpath) only growth waives
-    return *owned + later() + *sneaky;
+    int n = 400'000; int *p = new int(n);
+    return *owned + later() + *sneaky + *p;
 }
 // tlpsim:endhot
 
@@ -596,6 +597,8 @@ FIXTURES = [
             ("src/core/step.cc", "pool.push_back(*fresh)",
              f"waived: [hotpath] {GROWTH}"),
             ("src/core/step.cc", "new int(1)",
+             "error: [hotpath] operator new in hot region"),
+            ("src/core/step.cc", "400'000",
              "error: [hotpath] operator new in hot region"),
             ("src/mem/markers.hh", "stray",
              "error: [hotpath] `tlpsim:endhot` without a matching "

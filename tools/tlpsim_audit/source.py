@@ -114,6 +114,9 @@ def _strip(lines):
                 out.put(opener, code=True, keep=True)
                 i += len(opener)
                 state = "raw_string"
+            elif c == "'" and _digit_separator(line, i):
+                out.put(c, code=True, keep=True)
+                i += 1
             elif c in ('"', "'"):
                 quote = c
                 out.put(quote, code=True, keep=True)
@@ -136,6 +139,16 @@ def _strip(lines):
         keep_out.append("".join(out.keep))
         comment_out.append("".join(out.comment))
     return code_out, keep_out, comment_out
+
+
+def _digit_separator(line, i):
+    """True if the ' at line[i] separates the digits of a number literal
+    (400'000, 0xffff'ffff), so it opens no character literal."""
+    j = i
+    while j > 0 and (line[j - 1].isalnum() or line[j - 1] in "_.'"):
+        j -= 1
+    return (re.match(r"\.?[0-9]", line[j:i]) is not None
+            and line[i + 1:i + 2].isalnum())
 
 
 def _collect_waivers(comment_lines, code_lines):
