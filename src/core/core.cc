@@ -94,9 +94,9 @@ Core::nextEventCycle(Cycle now)
 {
     Cycle ev = kCycleNever;
     // Retire: the head entry can act only once Done, at its done cycle.
-    // A head that is already past-due (blocked store write, exhausted
-    // retire width) must keep retrying every cycle.
-    if (rob_head_ != rob_tail_) {
+    // A head that is already past-due (exhausted retire width) must keep
+    // retrying every cycle. A store the L1D refused waits for its wake.
+    if (rob_head_ != rob_tail_ && !store_blocked_) {
         const std::uint32_t head = robIndex(rob_head_);
         if (rob_state_[head] == State::Done)
             ev = std::min(ev, std::max(rob_done_[head], now + 1));
@@ -480,6 +480,7 @@ Core::flushSpecDelay(Cycle now)
 void
 Core::retire(Cycle now)
 {
+    store_blocked_ = false;
     for (unsigned n = 0; n < params_.retire_width && rob_head_ != rob_tail_;
          ++n) {
         std::uint32_t slot = robIndex(rob_head_);
@@ -494,8 +495,10 @@ Core::retire(Cycle now)
             w.type = AccessType::Rfo;
             w.core = static_cast<std::uint8_t>(params_.id);
             w.birth = now;
-            if (!ports_.l1d->sendWrite(w))
-                break;   // L1D write queue full: stall retire
+            if (!ports_.l1d->sendWrite(w)) {
+                store_blocked_ = true;   // L1D write queue full
+                break;
+            }
             // Keep the TLB contents warm for stores without modelling a
             // second walk (store translation overlaps with the ROB wait).
             auto tr = ports_.tlbs->lookup(st_vaddr);

@@ -31,6 +31,7 @@
 #ifndef TLPSIM_CORE_CORE_HH
 #define TLPSIM_CORE_CORE_HH
 
+#include <algorithm>
 #include <vector>
 
 #include "common/flat_table.hh"
@@ -48,7 +49,7 @@ namespace tlpsim
 
 class DramController;
 
-class Core : public MemoryClient
+class Core : public MemoryClient, public MemorySender
 {
   public:
     struct Params
@@ -110,6 +111,16 @@ class Core : public MemoryClient
     }
 
     void memReturn(const Packet &pkt) override;
+
+    /** MemorySender: the L1D accepted a request after refusing a
+     *  store, so its write queue may have room; the store retries at
+     *  @p at. */
+    void
+    wake(Cycle at) override
+    {
+        store_blocked_ = false;
+        quiet_until_ = std::min(quiet_until_, at);
+    }
 
     InstrCount retired() const { return retired_; }
 
@@ -261,6 +272,10 @@ class Core : public MemoryClient
      *  full, not waiting): that path bumps ifetch_stalls every retry
      *  cycle, so nextEventCycle() must refuse to skip over it. */
     bool fetch_retry_ = false;
+    /** Set when this tick's retire broke on a store the L1D refused: the
+     *  head sleeps until the L1D wakes the core (wake()), as a refused
+     *  cache request sleeps until the level below wakes it. */
+    bool store_blocked_ = false;
     InstrCount retired_ = 0;
     Cycle now_ = 0;
     /** Quiet watermark for tickIfDue(): nextEventCycle() of the last

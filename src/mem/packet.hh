@@ -105,9 +105,10 @@ class MemoryClient
 };
 
 /**
- * A level that sends requests to a MemoryBackend and sleeps once every
- * due request it holds was refused (a Cache). A direct virtual call,
- * made only when a backend that refused someone frees room.
+ * A unit that sends requests to a MemoryBackend and sleeps on a refusal:
+ * a Cache once every due request it holds was refused, a Core on a store
+ * its L1D refused. A direct virtual call, made only when a backend that
+ * refused someone frees room.
  */
 class MemorySender
 {
@@ -146,8 +147,9 @@ class MemoryBackend
     /** Advance one core clock. */
     virtual void tick(Cycle now) = 0;
 
-    /** Register a level that sends here. The list is fixed when the
-     *  system is built (L1D and L1I → L2, each L2 → LLC, LLC → DRAM). */
+    /** Register a unit that sends here. The list is fixed when the
+     *  system is built (core → L1D, L1D and L1I → L2, each L2 → LLC,
+     *  LLC → DRAM). */
     void addSender(MemorySender *s) { senders_.push_back(s); }
 
   protected:

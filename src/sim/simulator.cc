@@ -303,8 +303,10 @@ Simulator::build()
         cores_.push_back(std::make_unique<Core>(cp, ports, &stats_));
 
         // The levels that send to each backend, re-armed when it frees
-        // room after refusing one of them. The core is not among them:
-        // it retries a refused load or fetch every cycle.
+        // room after refusing one of them. The core sleeps on a store
+        // its L1D refused, and retries a refused load or fetch every
+        // cycle.
+        l1d_.back()->addSender(cores_.back().get());
         l2_.back()->addSender(l1d_.back().get());
         l2_.back()->addSender(l1i_.back().get());
         llc_->addSender(l2_.back().get());

@@ -1,7 +1,9 @@
 #include "workloads/graph.hh"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <condition_variable>
 #include <iterator>
@@ -83,39 +85,51 @@ struct EdgeList
     std::uint64_t size;
 };
 
+/** The host's hardware threads, read once so that every workersFor()
+ *  in the process agrees with the threads parallelFor() starts. */
 unsigned
 hardwareThreads()
 {
-    return std::max(1u, std::thread::hardware_concurrency());
+    static const unsigned threads
+        = std::max(1u, std::thread::hardware_concurrency());
+    return threads;
+}
+
+/** Threads parallelFor(count, fn) runs on, the calling one included. */
+std::size_t
+workersFor(std::size_t count)
+{
+    return std::min<std::size_t>(hardwareThreads(), count);
 }
 
 /**
- * Run fn(0) ... fn(count - 1) on up to hardwareThreads() threads, the
- * calling one included. Which thread runs an index depends on the host,
- * so fn's effects must not. If the host refuses a thread, those already
- * running finish the work. fn should not allocate: a helper thread that
- * does gets a glibc arena of its own, which stays resident.
+ * Run fn(0, w) ... fn(count - 1, w) on up to workersFor(count) threads,
+ * the calling one included; w < workersFor(count) names the thread, so
+ * fn can use scratch of its own that the caller allocated. Which thread
+ * runs an index depends on the host, so fn's other effects must not. If
+ * the host refuses a thread, those already running finish the work. fn
+ * should not allocate: a helper thread that does gets a glibc arena of
+ * its own, which stays resident.
  */
 template <typename Fn>
 void
 parallelFor(std::size_t count, const Fn &fn)
 {
     std::atomic<std::size_t> next{0};
-    auto work = [&] {
+    auto work = [&](std::size_t worker) {
         for (std::size_t i = next++; i < count; i = next++)
-            fn(i);
+            fn(i, worker);
     };
-    const std::size_t threads = std::min<std::size_t>(hardwareThreads(),
-                                                      count);
+    const std::size_t workers = workersFor(count);
     std::vector<std::jthread> helpers;   // joined on return
-    for (std::size_t t = 1; t < threads; ++t) {
+    for (std::size_t w = 1; w < workers; ++w) {
         try {
-            helpers.emplace_back(work);
+            helpers.emplace_back(work, w);
         } catch (const std::system_error &) {
             break;
         }
     }
-    work();
+    work(0);
 }
 
 /** Chunks an edge-drawing generator splits its edges into. A constant,
@@ -134,7 +148,7 @@ drawEdges(const Rng &rng, std::uint64_t num_edges,
           unsigned draws_per_edge, const Draw &draw)
 {
     EdgeList edges(num_edges);
-    parallelFor(kEdgeChunks, [&](std::size_t c) {
+    parallelFor(kEdgeChunks, [&](std::size_t c, std::size_t) {
         const std::uint64_t begin = num_edges * c / kEdgeChunks;
         const std::uint64_t end = num_edges * (c + 1) / kEdgeChunks;
         Rng chunk_rng = rng;
@@ -263,55 +277,117 @@ genRoad(Rng &rng, Vertex side)
     return edges;
 }
 
-/** Most vertex ranges buildCsr splits into. Every range reads the whole
- *  edge list, so past a few ranges the extra reads cost more than
- *  splitting the writes saves. */
-constexpr std::size_t kMaxCsrRanges = 8;
+/** Most bits of a bucket index in buildCsr: 2^11 vertices keep a
+ *  bucket's degree array in L1. */
+constexpr unsigned kMaxBucketBits = 11;
 
 /**
- * Symmetrize an edge list, without its self-loops, and pack it into
- * CSR form. Each thread owns one range of vertices and scans every edge
- * in order, so every adjacency list holds its neighbours in edge order,
- * whatever the number of ranges.
+ * Symmetrize an edge list, without its self-loops, and pack it into CSR
+ * form by a stable counting sort on the endpoint. Three parallel passes
+ * stage the entries in the neighbour array itself:
+ *
+ *  1. each of the kEdgeChunks chunks of edges counts its endpoints by
+ *     bucket, a run of 2^bucket_bits consecutive vertices;
+ *  2. each chunk writes every directed entry, packed in 32 bits as the
+ *     endpoint's index in its bucket above the other end's id, at its
+ *     cursor in the bucket's span. The cursors start at a bucket-major,
+ *     chunk-minor prefix sum of the counts, so each span holds its
+ *     entries in edge order. The edge list is freed after this pass,
+ *     before the offsets are allocated;
+ *  3. each bucket copies its span to the worker's scratch, counts its
+ *     vertices' degrees, writes their offsets and scatters the other
+ *     ends back in span order.
+ *
+ * So every adjacency list holds its neighbours in edge order, whatever
+ * the number of threads.
  */
 Graph
-buildCsr(Vertex n, const EdgeList &edges)
+buildCsr(Vertex n, EdgeList edges)
 {
-    Graph g;
-    g.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-    // cursor[v] is offsets[v + 1]: v's degree after the count, v's begin
-    // after the prefix sum, and v's end, its final value, after the
-    // scatter.
-    std::uint64_t *const cursor = g.offsets.data() + 1;
-    const std::size_t ranges
-        = std::min<std::size_t>(hardwareThreads(), kMaxCsrRanges);
-    // fn(v, w) for every endpoint v that range r owns, w being the
-    // edge's other end, in edge order.
-    auto forEachOwned = [&](std::size_t r, const auto &fn) {
-        const auto lo = static_cast<Vertex>(std::uint64_t{n} * r / ranges);
-        const auto span
-            = static_cast<Vertex>(std::uint64_t{n} * (r + 1) / ranges) - lo;
-        const Edge *const end = edges.buf.get() + edges.size;
-        for (const Edge *e = edges.buf.get(); e != end; ++e) {
-            if (e->u == e->v)
-                continue;
-            // One unsigned compare: v - lo wraps past span when v < lo.
-            if (e->u - lo < span)
-                fn(e->u, e->v);
-            if (e->v - lo < span)
-                fn(e->v, e->u);
+    // An entry keeps the other end in its low id_bits and the endpoint's
+    // index in its bucket in the bucket_bits above them.
+    const auto id_bits = static_cast<unsigned>(std::bit_width(n - 1));
+    const unsigned bucket_bits = std::min(kMaxBucketBits, 32 - id_bits);
+    const Vertex bucket_mask = (Vertex{1} << bucket_bits) - 1;
+    const auto id_mask
+        = static_cast<Vertex>((std::uint64_t{1} << id_bits) - 1);
+    const std::size_t buckets = ((std::size_t{n} - 1) >> bucket_bits) + 1;
+    auto stage = [&](Vertex v, Vertex w) {
+        return static_cast<Vertex>(
+            (std::uint64_t{v & bucket_mask} << id_bits) | w);
+    };
+    auto indexInBucket = [&](Vertex entry) {
+        return static_cast<std::size_t>(std::uint64_t{entry} >> id_bits);
+    };
+    auto forEachEdge = [&](std::size_t c, const auto &fn) {
+        const Edge *const end
+            = edges.buf.get() + edges.size * (c + 1) / kEdgeChunks;
+        for (const Edge *e = edges.buf.get() + edges.size * c / kEdgeChunks;
+             e != end; ++e) {
+            if (e->u != e->v)
+                fn(*e);
         }
     };
-    parallelFor(ranges, [&](std::size_t r) {
-        forEachOwned(r, [&](Vertex v, Vertex) { ++cursor[v]; });
+
+    // cursor[c * buckets + b]: chunk c's count of bucket b, then where
+    // pass 2 writes chunk c's next entry in bucket b.
+    std::vector<std::uint64_t> cursor(kEdgeChunks * buckets);
+    parallelFor(kEdgeChunks, [&](std::size_t c, std::size_t) {
+        std::uint64_t *const count = cursor.data() + c * buckets;
+        forEachEdge(c, [&](const Edge &e) {
+            ++count[e.u >> bucket_bits];
+            ++count[e.v >> bucket_bits];
+        });
     });
+    std::vector<std::uint64_t> span_begin(buckets + 1);
     std::uint64_t total = 0;
-    for (Vertex v = 0; v < n; ++v)
-        total += std::exchange(cursor[v], total);
+    std::uint64_t largest = 0;
+    for (std::size_t b = 0; b < buckets; ++b) {
+        span_begin[b] = total;
+        for (std::size_t c = 0; c < kEdgeChunks; ++c)
+            total += std::exchange(cursor[c * buckets + b], total);
+        largest = std::max(largest, total - span_begin[b]);
+    }
+    span_begin[buckets] = total;
+
+    Graph g;
     g.neighbors.resize(total);
     Vertex *const out = g.neighbors.data();
-    parallelFor(ranges, [&](std::size_t r) {
-        forEachOwned(r, [&](Vertex v, Vertex w) { out[cursor[v]++] = w; });
+    parallelFor(kEdgeChunks, [&](std::size_t c, std::size_t) {
+        std::uint64_t *const at = cursor.data() + c * buckets;
+        forEachEdge(c, [&](const Edge &e) {
+            out[at[e.u >> bucket_bits]++] = stage(e.u, e.v);
+            out[at[e.v >> bucket_bits]++] = stage(e.v, e.u);
+        });
+    });
+    edges.buf.reset();
+
+    g.offsets.resize(std::size_t{n} + 1);
+    g.offsets[n] = total;
+    const std::size_t workers = workersFor(buckets);
+    const auto scratch
+        = std::make_unique_for_overwrite<Vertex[]>(workers * largest);
+    parallelFor(buckets, [&](std::size_t b, std::size_t worker) {
+        const std::uint64_t begin = span_begin[b];
+        const std::uint64_t size = span_begin[b + 1] - begin;
+        Vertex *const staged = scratch.get() + worker * largest;
+        std::copy_n(out + begin, size, staged);
+        const auto base = static_cast<Vertex>(b << bucket_bits);
+        const auto vertices = static_cast<std::size_t>(
+            std::min<std::uint64_t>(n - base, bucket_mask + std::uint64_t{1}));
+        // next[i]: vertex base + i's degree, then where its next
+        // neighbour goes.
+        std::array<std::uint64_t, std::size_t{1} << kMaxBucketBits> next;
+        std::fill_n(next.begin(), vertices, 0);
+        for (std::uint64_t i = 0; i < size; ++i)
+            ++next[indexInBucket(staged[i])];
+        std::uint64_t at = begin;
+        for (std::size_t i = 0; i < vertices; ++i) {
+            g.offsets[base + i] = at;
+            at += std::exchange(next[i], at);
+        }
+        for (std::uint64_t i = 0; i < size; ++i)
+            out[next[indexInBucket(staged[i])]++] = staged[i] & id_mask;
     });
     return g;
 }

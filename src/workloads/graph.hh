@@ -15,7 +15,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace tlpsim::workloads
@@ -23,11 +25,41 @@ namespace tlpsim::workloads
 
 using Vertex = std::uint32_t;
 
+/**
+ * std::allocator whose value-less construct() default-initialises, so a
+ * resize() of trivial elements leaves them unwritten instead of zeroing
+ * memory that is about to be overwritten.
+ */
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T>
+{
+    DefaultInitAllocator() = default;
+
+    template <typename U>
+    DefaultInitAllocator(const DefaultInitAllocator<U> &) noexcept
+    {}
+
+    template <typename U>
+    void
+    construct(U *p)
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+
+    template <typename U, typename... Args>
+    void
+    construct(U *p, Args &&...args)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+    }
+};
+
 /** Compressed-sparse-row graph (undirected: both edge directions stored). */
 struct Graph
 {
     std::vector<std::uint64_t> offsets;   ///< size = numVertices() + 1
-    std::vector<Vertex> neighbors;        ///< size = numEdges()
+    /** size = numEdges(); makeGraph writes every element exactly once. */
+    std::vector<Vertex, DefaultInitAllocator<Vertex>> neighbors;
 
     Vertex
     numVertices() const
@@ -72,8 +104,10 @@ const char *toString(GraphKind k);
  * that of one thread. Kron, Twitter and Urand draw their edges in a
  * fixed number of chunks, each starting from the generator state one
  * serial loop would reach there (Rng::discard); Web and Road draw
- * serially. The CSR build splits by vertex range, and each adjacency
- * list keeps edge order.
+ * serially. The CSR build is a stable counting sort by endpoint: the
+ * same fixed chunks of edges stage every directed entry in its bucket of
+ * consecutive vertices, in edge order, and each bucket is then sorted by
+ * vertex on its own, so each adjacency list keeps edge order.
  */
 Graph makeGraph(GraphKind kind, unsigned scale, unsigned avg_degree,
                 std::uint64_t seed);

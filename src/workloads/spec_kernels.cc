@@ -316,19 +316,20 @@ recordRomsSpmv(TraceRecorder &rec, std::uint64_t seed, unsigned ws_shift)
     VArray v_x = rec.allocArray(x_elems, 8);       // 16 MB at full size
     VArray v_y = rec.allocArray(rows, 8);
 
-    // Column pattern: mostly near-diagonal, some far entries.
-    std::vector<std::uint32_t> cols(rows * nnz_per_row);
-    for (std::uint64_t r = 0; r < rows; ++r) {
-        for (unsigned k = 0; k < nnz_per_row; ++k) {
-            std::uint64_t c = rng.chance(0.7)
-                ? (r * 2 + k) % x_elems
-                : rng.below(x_elems);
-            cols[r * nnz_per_row + k] = static_cast<std::uint32_t>(c);
-        }
-    }
-
+    // Column pattern: mostly near-diagonal, some far entries. A row's
+    // columns are drawn when the first pass reaches it, in row order, so
+    // a short trace draws only the rows it records.
+    std::vector<std::uint32_t> cols;
     while (!rec.full()) {
         for (std::uint64_t r = 0; r < rows && !rec.full(); ++r) {
+            if (cols.size() == r * nnz_per_row) {
+                for (unsigned k = 0; k < nnz_per_row; ++k) {
+                    std::uint64_t c = rng.chance(0.7)
+                        ? (r * 2 + k) % x_elems
+                        : rng.below(x_elems);
+                    cols.push_back(static_cast<std::uint32_t>(c));
+                }
+            }
             RegId racc = rec.alu(pc + 0x00);
             for (unsigned k = 0; k < nnz_per_row; ++k) {
                 std::uint64_t e = r * nnz_per_row + k;

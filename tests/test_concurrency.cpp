@@ -334,19 +334,21 @@ TEST(RunnerConcurrency, RequestCancelUnwindsRunningJobs)
 
 TEST(GraphConcurrency, RacingParallelBuildsEqualOneBuiltAlone)
 {
-    // makeGraph draws edges in chunks and scatters the CSR by vertex
-    // range on threads of its own. Three callers building the same graph
-    // at once must each get the graph one caller gets alone; under TSan,
-    // a race in either split fails here.
+    // makeGraph draws edges in chunks, stages the CSR entries by chunk
+    // and sorts each bucket of vertices on threads of its own. Three
+    // callers building the same graph at once must each get the graph
+    // one caller gets alone; under TSan, a race in any split fails here.
+    // At scale 15 every kind has 16 or more buckets, so the per-bucket
+    // sort runs on several workers.
     for (workloads::GraphKind kind : workloads::kAllGraphKinds) {
-        const workloads::Graph alone = workloads::makeGraph(kind, 10, 8, 42);
+        const workloads::Graph alone = workloads::makeGraph(kind, 15, 8, 42);
         std::vector<workloads::Graph> raced(3);
         {
             std::vector<std::jthread> callers;
             callers.reserve(raced.size());
             for (workloads::Graph &g : raced) {
                 callers.emplace_back(
-                    [&g, kind] { g = workloads::makeGraph(kind, 10, 8, 42); });
+                    [&g, kind] { g = workloads::makeGraph(kind, 15, 8, 42); });
             }
         }
         for (const workloads::Graph &g : raced) {

@@ -433,6 +433,40 @@ TEST(Simulator, IdleSkipOnVsOffBitIdentical)
     }
 }
 
+TEST(Simulator, CoreSleepsOnARefusedStoreBitIdentically)
+{
+    // 60k independent stores to consecutive lines: each misses the L1D,
+    // whose write queue fills and refuses most store retires. The core
+    // sleeps on a refused store until the L1D frees room and wakes it,
+    // so the idle skip elides the cycles it waits instead of stepping a
+    // retry per cycle, and the result equals the cycle-by-cycle run's.
+    Trace trace("store_stream");
+    for (std::uint64_t i = 0; i < 60'000; ++i) {
+        TraceInstr in;
+        in.ip = 0x400000 + (i % 16) * 4;
+        in.st_vaddr = 0x10000000 + i * kBlockSize;
+        trace.push(in);
+    }
+    SystemConfig on = tinyConfig();
+    on.warmup_instrs = 10'000;
+    on.sim_instrs = 50'000;
+    SystemConfig off = on;
+    off.idle_skip = false;
+    Simulator sim_on(on, std::vector<const Trace *>{&trace});
+    Simulator sim_off(off, std::vector<const Trace *>{&trace});
+    const SimResult a = sim_on.run();
+    const SimResult b = sim_off.run();
+
+    // 695,033 of 1,840,205 cycles; a core retrying its refused store
+    // every cycle leaves the skip 141.
+    EXPECT_GT(sim_on.idleSkippedCycles(), sim_on.cycle() / 4);
+    EXPECT_EQ(sim_off.idleSkippedCycles(), 0u);
+    EXPECT_EQ(sim_on.cycle(), sim_off.cycle());
+    EXPECT_EQ(a.stats, b.stats);
+    EXPECT_EQ(a.window_cycles, b.window_cycles);
+    EXPECT_EQ(a.warmup_end_cycle, b.warmup_end_cycle);
+}
+
 TEST(Simulator, IdleSkipBitIdenticalOnMultiCoreMix)
 {
     // Fig. 13-style heterogeneous 2-core point: per-core windows and
