@@ -56,7 +56,7 @@ main()
               SchemeConfig::fromName("hermes"),
               SchemeConfig::fromName("tlp")}) {
             cfg.scheme = scheme;
-            Simulator sim(cfg, {&trace});
+            Simulator sim(cfg, {std::make_shared<MemoryTraceSource>(trace)});
             SimResult r = sim.run();
             if (scheme.name == "baseline")
                 base_ipc = r.ipc[0];

@@ -62,7 +62,7 @@ findWayAvx2(const Addr *tags, unsigned ways, Addr tag)
 }
 
 bool
-hostHasAvx2ForTags()
+cpuHasAvx2()
 {
     static const bool has = __builtin_cpu_supports("avx2");
     return has;
@@ -75,7 +75,7 @@ inline int
 findWay(const Addr *tags, unsigned ways, Addr tag)
 {
 #if defined(__x86_64__)
-    if ((ways & 3u) == 0 && hostHasAvx2ForTags())
+    if ((ways & 3u) == 0 && cpuHasAvx2())
         return findWayAvx2(tags, ways, tag);
 #endif
     return findWayScalar(tags, ways, tag);

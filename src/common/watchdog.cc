@@ -18,9 +18,7 @@ struct ThreadWatchdog
 {
     bool armed = false;
     double budget_s = 0.0;
-    Clock::time_point start;
     Clock::time_point deadline;
-    const CancelFlag *cancel = nullptr;
 };
 
 thread_local ThreadWatchdog g_wd;
@@ -36,15 +34,15 @@ arm(double seconds)
     }
     g_wd.armed = true;
     g_wd.budget_s = seconds;
-    g_wd.start = Clock::now();
+    const Clock::time_point start = Clock::now();
     // A budget past the clock's range never expires; converting it to
     // Clock::duration would overflow.
     const std::chrono::duration<double> left = Clock::time_point::max()
-        - g_wd.start;
+        - start;
     g_wd.deadline = seconds >= left.count()
         ? Clock::time_point::max()
-        : g_wd.start + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(seconds));
+        : start + std::chrono::duration_cast<Clock::duration>(
+                      std::chrono::duration<double>(seconds));
 }
 
 void
@@ -59,30 +57,9 @@ armed()
     return g_wd.armed;
 }
 
-double
-elapsedSeconds()
-{
-    if (!g_wd.armed)
-        return 0.0;
-    return std::chrono::duration<double>(Clock::now() - g_wd.start).count();
-}
-
-void
-bindCancel(const CancelFlag *flag)
-{
-    g_wd.cancel = flag;
-}
-
 void
 poll()
 {
-    // Cancellation outranks the deadline: a cancelled point must not be
-    // retried, and SimTimeoutError would route it into the retry loop.
-    if (g_wd.cancel != nullptr && g_wd.cancel->requested()) {
-        g_wd.cancel = nullptr;
-        g_wd.armed = false;
-        throw SimCancelledError("design point cancelled");
-    }
     if (!g_wd.armed || Clock::now() < g_wd.deadline)
         return;
     char msg[96];

@@ -19,7 +19,6 @@
 #ifndef TLPSIM_COMMON_WATCHDOG_HH
 #define TLPSIM_COMMON_WATCHDOG_HH
 
-#include <atomic>
 #include <stdexcept>
 
 namespace tlpsim
@@ -32,43 +31,8 @@ class SimTimeoutError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** A design point was cancelled from another thread via a CancelFlag.
- *  Deliberately NOT a SimTimeoutError: the Runner's retry loop treats
- *  timeouts as transient and re-runs the point, but a cancellation must
- *  unwind exactly once and propagate to the caller. */
-class SimCancelledError : public std::runtime_error
-{
-  public:
-    using std::runtime_error::runtime_error;
-};
-
 namespace watchdog
 {
-
-/**
- * A one-shot cross-thread cancellation flag.
- *
- * This is an intended lock-free site: request() is called from a
- * controller thread while the simulation thread polls requested() every
- * 64 Ki cycles. The release store pairs with the acquire load so that
- * everything the controller wrote before request() (e.g. a reason
- * string, updated shared state) is visible to the simulation thread by
- * the time poll() observes the flag and unwinds. Relaxed would be
- * sufficient for the bool itself but would not order those side
- * effects; seq_cst would add nothing this pairing needs.
- */
-class CancelFlag
-{
-  public:
-    /** Request cancellation (idempotent, callable from any thread). */
-    void request() { flag_.store(true, std::memory_order_release); }
-
-    /** Has cancellation been requested? (callable from any thread) */
-    bool requested() const { return flag_.load(std::memory_order_acquire); }
-
-  private:
-    std::atomic<bool> flag_{false};
-};
 
 /** Arm the calling thread's watchdog: poll() throws SimTimeoutError once
  *  @p seconds of wall-clock time elapse. seconds <= 0 (or NaN) disarms;
@@ -81,18 +45,8 @@ void disarm();
 /** Is the calling thread's watchdog armed? */
 bool armed();
 
-/** Wall-clock seconds since the calling thread's arm() (0 if unarmed). */
-double elapsedSeconds();
-
-/** Bind a cancellation flag to the calling thread: poll() throws
- *  SimCancelledError once flag->requested() becomes true. nullptr
- *  unbinds. The flag must outlive the binding; the caller (the Runner)
- *  unbinds before the flag is destroyed. */
-void bindCancel(const CancelFlag *flag);
-
-/** Throw SimTimeoutError if the calling thread's deadline has passed,
- *  or SimCancelledError if a bound CancelFlag was requested; no-op when
- *  unarmed and unbound. */
+/** Throw SimTimeoutError if the calling thread's deadline has passed;
+ *  no-op when unarmed. */
 void poll();
 
 } // namespace watchdog

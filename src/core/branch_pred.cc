@@ -60,7 +60,7 @@ BranchPredictor::computeIndices(Addr ip, std::uint16_t *out) const
 bool
 BranchPredictor::predictAndTrain(Addr ip, bool taken)
 {
-    std::uint16_t index[16];
+    std::uint16_t index[kMaxTables];
     computeIndices(ip, index);
     int sum = perceptron_.predict(index, params_.num_tables);
     bool predicted_taken = sum >= 0;

@@ -29,10 +29,11 @@ namespace tlpsim
 using PerceptronWeight = SatCounter<5>;
 
 /**
- * Most feature tables any perceptron in the system uses (bpred's 16).
- * Callers snapshot per-prediction indices in fixed arrays sized by this
- * (or by kMaxFeatures for the packet-borne PredictionMeta) so the
- * per-load predict/train path never touches the heap.
+ * Most feature tables a perceptron may declare (the branch predictor
+ * declares 8, PPF 9). Callers snapshot per-prediction indices in fixed
+ * arrays sized by this (or by kMaxFeatures for the packet-borne
+ * PredictionMeta) so the per-load predict/train path never touches the
+ * heap.
  */
 constexpr unsigned kMaxTables = 16;
 
@@ -47,8 +48,6 @@ class HashedPerceptron
 
     HashedPerceptron(std::string name, std::vector<TableSpec> tables,
                      int training_threshold);
-
-    unsigned numTables() const { return static_cast<unsigned>(meta_.size()); }
 
     /** Hash a raw feature value into table @p t's index space. */
     std::uint16_t
@@ -65,11 +64,7 @@ class HashedPerceptron
 
     unsigned entriesOf(unsigned t) const { return meta_[t].entries; }
 
-    /** Sum weights for pre-hashed indices (one per table). Dispatches
-     *  to an AVX2 gather kernel when the host supports it and n >= 8;
-     *  the vector and scalar paths produce bit-identical sums (int32
-     *  addition over |w| <= 15, n <= 16 cannot overflow and is
-     *  order-insensitive). */
+    /** Sum weights for pre-hashed indices (one per table). */
     int predict(const std::uint16_t *index, unsigned n) const;
 
     /**
@@ -82,11 +77,6 @@ class HashedPerceptron
 
     /** Unconditional nudge (used by PPF's recovery path). */
     void nudge(const std::uint16_t *index, unsigned n, bool positive);
-
-    int weightAt(unsigned t, std::uint16_t idx) const
-    {
-        return weights_[meta_[t].offset + idx].value();
-    }
 
     void reset();
 
@@ -102,20 +92,10 @@ class HashedPerceptron
         unsigned index_bits;
     };
 
-#if defined(__x86_64__)
-    /** AVX2 gather kernel behind predict()'s runtime dispatch. */
-    int predictAvx2(const std::uint16_t *index, unsigned n) const;
-#endif
-
     std::string name_;
     std::vector<std::string> table_names_;
     std::vector<TableMeta> meta_;
-    /** All tables back to back, plus two always-zero guard entries: the
-     *  first doubles as the padding weight for gather lanes beyond n,
-     *  the second keeps the gather's 4-byte loads in bounds at the
-     *  padding index. Neither is ever trained. */
-    std::vector<PerceptronWeight> weights_;
-    std::uint32_t pad_index_ = 0;   ///< index of the first guard entry
+    std::vector<PerceptronWeight> weights_;   ///< all tables back to back
     int training_threshold_;
 };
 

@@ -1,13 +1,11 @@
 #include "sim/experiment.hh"
 
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
-#include <exception>
-#include <map>
 #include <memory>
-#include <mutex>
+#include <tuple>
 
+#include "common/once_cache.hh"
 #include "tracefile/file_source.hh"
 
 namespace tlpsim::experiment
@@ -39,42 +37,10 @@ envMixes(int fallback)
 namespace
 {
 
-struct TraceKey
-{
-    std::string name;
-    InstrCount instrs;
-    std::uint64_t seed;
-
-    bool
-    operator<(const TraceKey &o) const
-    {
-        if (name != o.name)
-            return name < o.name;
-        if (instrs != o.instrs)
-            return instrs < o.instrs;
-        return seed < o.seed;
-    }
-};
-
-/**
- * One memoized trace. The first thread to request a key records the trace
- * while later requesters block on cv; afterwards the trace is immutable
- * and shared read-only across all simulation workers. If recording throws,
- * the error is propagated to every waiter and the slot is dropped from the
- * cache so a later request can retry (waiters keep the slot alive through
- * their shared_ptr).
- */
-struct TraceSlot
-{
-    std::mutex m;
-    std::condition_variable cv;
-    bool ready = false;
-    Trace trace;
-    std::exception_ptr error;
-};
-
-std::mutex g_trace_mutex;
-std::map<TraceKey, std::shared_ptr<TraceSlot>> g_trace_cache;
+/** Each trace is recorded once per (name, length, seed) and then shared
+ *  read-only by every simulation worker. */
+OnceCache<std::tuple<std::string, InstrCount, std::uint64_t>, Trace>
+    g_traces;
 
 } // namespace
 
@@ -82,55 +48,16 @@ const Trace &
 cachedTrace(const workloads::WorkloadSpec &spec, InstrCount instrs,
             std::uint64_t seed)
 {
-    TraceKey key{spec.name, instrs, seed};
-    std::shared_ptr<TraceSlot> slot;
-    bool builder = false;
-    {
-        std::lock_guard<std::mutex> lock(g_trace_mutex);
-        auto it = g_trace_cache.find(key);
-        if (it == g_trace_cache.end()) {
-            it = g_trace_cache.emplace(key, std::make_shared<TraceSlot>())
-                     .first;
-            builder = true;
-        }
-        slot = it->second;
-    }
-    if (builder) {
-        std::exception_ptr error;
-        Trace built;
-        try {
-            built = workloads::buildTrace(spec, instrs, seed);
-        } catch (...) {
-            error = std::current_exception();
-        }
-        if (error) {
-            std::lock_guard<std::mutex> cache_lock(g_trace_mutex);
-            g_trace_cache.erase(key);
-        }
-        {
-            std::lock_guard<std::mutex> lock(slot->m);
-            slot->trace = std::move(built);
-            slot->error = error;
-            slot->ready = true;
-        }
-        slot->cv.notify_all();
-        if (error)
-            std::rethrow_exception(error);
-        return slot->trace;
-    }
-    std::unique_lock<std::mutex> lock(slot->m);
-    slot->cv.wait(lock, [&] { return slot->ready; });
-    if (slot->error)
-        std::rethrow_exception(slot->error);
-    return slot->trace;
+    return *g_traces.get({spec.name, instrs, seed}, [&] {
+        return workloads::buildTrace(spec, instrs, seed);
+    });
 }
 
 void
 clearTraceCache()
 {
     // Only safe with no simulations in flight (they hold Trace references).
-    std::lock_guard<std::mutex> lock(g_trace_mutex);
-    g_trace_cache.clear();
+    g_traces.clear();
 }
 
 std::shared_ptr<TraceSource>

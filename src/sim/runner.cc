@@ -179,12 +179,7 @@ Runner::execute(const std::string &key, Job &job,
     }
 
     // 2. Simulate under the watchdog, with bounded timeout retries.
-    //    The Runner's CancelFlag is bound for the duration: a
-    //    requestCancel() from any thread surfaces here as
-    //    SimCancelledError at the Simulator's next watchdog poll, taking
-    //    the non-timeout branch below (no retry, no failure row).
     if (!from_store) {
-        watchdog::bindCancel(&cancel_);
         for (;;) {
             ++attempts;
             if (policy_.timeout_s > 0.0)
@@ -217,7 +212,6 @@ Runner::execute(const std::string &key, Job &job,
                 break;
             }
         }
-        watchdog::bindCancel(nullptr);
 
         // 3. Persist the outcome (ok or structured failure).
         if (policy_.store && !error) {

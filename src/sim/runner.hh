@@ -208,18 +208,6 @@ class Runner
 
     const StorePolicy &policy() const { return policy_; }
 
-    /** Request cooperative cancellation of every simulating job. Safe
-     *  from any thread, idempotent, lock-free (the flag is a single
-     *  release-store; workers observe it at the Simulator's next
-     *  watchdog poll, within 64 Ki simulated cycles). Each cancelled
-     *  job unwinds with SimCancelledError, which get()/outcome()
-     *  rethrow to the caller — unlike a timeout, a cancelled point is
-     *  never retried and never recorded as a failure row. */
-    void requestCancel() { cancel_.request(); }
-
-    /** Has requestCancel() been called? */
-    bool cancelRequested() const { return cancel_.requested(); }
-
   private:
     enum class State
     {
@@ -257,7 +245,6 @@ class Runner
     std::condition_variable done_cv_;   ///< get(): a job completed
     std::map<std::string, Job> map_;    ///< node-stable result storage
     std::deque<std::string> queue_;     ///< submission order
-    watchdog::CancelFlag cancel_;       ///< lock-free, polled by workers
     bool stop_ = false;
     std::size_t completed_ = 0;
     std::size_t simulated_ = 0;

@@ -154,18 +154,6 @@ Simulator::Simulator(const SystemConfig &cfg,
     build();
 }
 
-Simulator::Simulator(const SystemConfig &cfg,
-                     std::vector<const Trace *> traces)
-    : Simulator(cfg, [&traces] {
-          std::vector<std::shared_ptr<TraceSource>> sources;
-          sources.reserve(traces.size());
-          for (const Trace *t : traces)
-              sources.push_back(std::make_shared<MemoryTraceSource>(*t));
-          return sources;
-      }())
-{
-}
-
 Simulator::~Simulator() = default;
 
 void

@@ -118,11 +118,6 @@ class Simulator
      */
     Simulator(const SystemConfig &cfg,
               std::vector<std::shared_ptr<TraceSource>> sources);
-
-    /** Convenience for in-memory traces (tests, single-shot runs): wraps
-     *  each Trace in a MemoryTraceSource. The traces must outlive the
-     *  simulator. */
-    Simulator(const SystemConfig &cfg, std::vector<const Trace *> traces);
     ~Simulator();
 
     /** Warmup + measure; may only be called once. */

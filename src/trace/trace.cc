@@ -66,15 +66,6 @@ TraceReader::TraceReader(TraceSource &source, std::size_t chunk_records)
 {
 }
 
-TraceReader::TraceReader(const Trace &trace, std::size_t chunk_records)
-    : owned_(std::make_shared<MemoryTraceSource>(trace)),
-      source_(owned_.get()),
-      buf_(std::max<std::size_t>(1,
-                                 std::min<std::size_t>(chunk_records,
-                                                       trace.size())))
-{
-}
-
 void
 TraceReader::refill()
 {

@@ -167,11 +167,6 @@ class TraceReader
     explicit TraceReader(TraceSource &source,
                          std::size_t chunk_records = kChunkRecords);
 
-    /** Convenience for tests and single-shot runs: wraps an owned
-     *  MemoryTraceSource over @p trace. */
-    explicit TraceReader(const Trace &trace,
-                         std::size_t chunk_records = kChunkRecords);
-
     /** Next record without consuming it. */
     const TraceInstr &
     peek()
@@ -204,7 +199,6 @@ class TraceReader
   private:
     void refill();
 
-    std::shared_ptr<TraceSource> owned_;   ///< set by the Trace ctor only
     TraceSource *source_;
     std::vector<TraceInstr> buf_;
     std::size_t pos_ = 0;

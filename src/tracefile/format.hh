@@ -95,7 +95,7 @@ TraceInstr decodeRecord(const unsigned char in[kRecordSize]);
  * record region being exactly record_count whole records. readInfo()
  * throws ConfigError naming the file and the offending byte offset for
  * every violation; the checksum is *declared* here and verified against
- * the payload by verifyPayload() or during a streaming first pass.
+ * the payload by verifyFile() or during a streaming first pass.
  */
 struct TraceFileInfo
 {

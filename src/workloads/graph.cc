@@ -5,15 +5,12 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <condition_variable>
-#include <iterator>
-#include <map>
-#include <mutex>
 #include <system_error>
 #include <thread>
 #include <tuple>
 #include <utility>
 
+#include "common/once_cache.hh"
 #include "common/rng.hh"
 
 namespace tlpsim::workloads
@@ -424,28 +421,8 @@ makeGraph(GraphKind kind, unsigned scale, unsigned avg_degree,
 namespace
 {
 
-using CacheKey = std::tuple<int, unsigned, unsigned, std::uint64_t>;
-
-/** One cache entry; graph is written once under m and shared read-only.
- *  If construction throws, error is propagated to every waiter and the
- *  slot is dropped from the cache so a later request can retry. */
-struct GraphSlot
-{
-    std::mutex m;
-    std::condition_variable cv;
-    bool ready = false;
-    std::shared_ptr<const Graph> graph;
-    std::exception_ptr error;
-};
-
-std::mutex g_graph_mutex;
-std::map<CacheKey, std::shared_ptr<GraphSlot>> g_graph_cache;
-
-/** Resident cap: one graph per kind, so every graph of a set, the full
- *  set included, stays warm while parallel trace builds are in flight.
- *  Evicted graphs stay alive for as long as any worker still holds its
- *  shared_ptr. */
-constexpr std::size_t kMaxResidentGraphs = std::size(kAllGraphKinds);
+OnceCache<std::tuple<GraphKind, unsigned, unsigned, std::uint64_t>, Graph>
+    g_graphs;
 
 } // namespace
 
@@ -453,60 +430,15 @@ std::shared_ptr<const Graph>
 GraphCache::get(GraphKind kind, unsigned scale, unsigned avg_degree,
                 std::uint64_t seed)
 {
-    CacheKey key{static_cast<int>(kind), scale, avg_degree, seed};
-    std::shared_ptr<GraphSlot> slot;
-    bool builder = false;
-    {
-        std::lock_guard<std::mutex> lock(g_graph_mutex);
-        auto it = g_graph_cache.find(key);
-        if (it == g_graph_cache.end()) {
-            if (g_graph_cache.size() >= kMaxResidentGraphs)
-                g_graph_cache.erase(g_graph_cache.begin());
-            it = g_graph_cache.emplace(key, std::make_shared<GraphSlot>())
-                     .first;
-            builder = true;
-        }
-        slot = it->second;
-    }
-    if (builder) {
-        std::shared_ptr<const Graph> built;
-        std::exception_ptr error;
-        try {
-            built = std::make_shared<const Graph>(
-                makeGraph(kind, scale, avg_degree, seed));
-        } catch (...) {
-            error = std::current_exception();
-        }
-        if (error) {
-            // Evictions may have replaced the key; only drop our slot.
-            std::lock_guard<std::mutex> cache_lock(g_graph_mutex);
-            auto it = g_graph_cache.find(key);
-            if (it != g_graph_cache.end() && it->second == slot)
-                g_graph_cache.erase(it);
-        }
-        {
-            std::lock_guard<std::mutex> lock(slot->m);
-            slot->graph = built;
-            slot->error = error;
-            slot->ready = true;
-        }
-        slot->cv.notify_all();
-        if (error)
-            std::rethrow_exception(error);
-        return built;
-    }
-    std::unique_lock<std::mutex> lock(slot->m);
-    slot->cv.wait(lock, [&] { return slot->ready; });
-    if (slot->error)
-        std::rethrow_exception(slot->error);
-    return slot->graph;
+    return g_graphs.get({kind, scale, avg_degree, seed}, [&] {
+        return makeGraph(kind, scale, avg_degree, seed);
+    });
 }
 
 void
 GraphCache::clear()
 {
-    std::lock_guard<std::mutex> lock(g_graph_mutex);
-    g_graph_cache.clear();
+    g_graphs.clear();
 }
 
 } // namespace tlpsim::workloads

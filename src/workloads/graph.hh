@@ -117,8 +117,8 @@ Graph makeGraph(GraphKind kind, unsigned scale, unsigned avg_degree,
  * input graph pay its construction cost once per bench binary.
  *
  * Thread-safe: concurrent get() calls for the same key build the graph
- * once and share it read-only. Callers receive a shared_ptr so cache
- * eviction can never invalidate a graph still in use by another worker.
+ * once and share it read-only. Callers receive a shared_ptr, so clear()
+ * never invalidates a graph still in use by another worker.
  */
 class GraphCache
 {

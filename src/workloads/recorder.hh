@@ -73,8 +73,6 @@ class TraceRecorder
     /** True once max_instrs records have been emitted; kernels must stop. */
     bool full() const { return trace_->size() >= max_instrs_; }
 
-    std::uint64_t instrCount() const { return trace_->size(); }
-
     /** Reserve @p bytes of synthetic virtual address space (page aligned). */
     Addr alloc(std::uint64_t bytes);
 

@@ -1,12 +1,14 @@
 /** Unit tests for src/common: bit ops, RNG, counters, stats, storage,
- *  the watchdog. */
+ *  the watchdog, the build-once cache. */
 
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <set>
+#include <stdexcept>
 
 #include "common/bitops.hh"
+#include "common/once_cache.hh"
 #include "common/rng.hh"
 #include "common/sat_counter.hh"
 #include "common/stats.hh"
@@ -304,4 +306,29 @@ TEST(Watchdog, BudgetBeyondClockRangeNeverExpires)
     watchdog::arm(std::numeric_limits<double>::quiet_NaN());
     EXPECT_FALSE(watchdog::armed());
     watchdog::disarm();
+}
+
+TEST(OnceCache, FailedBuildRethrowsAndTheNextGetBuildsAgain)
+{
+    OnceCache<int, int> cache;
+    int builds = 0;
+    EXPECT_THROW(cache.get(7, [&]() -> int {
+                     ++builds;
+                     throw std::runtime_error("build failed");
+                 }),
+                 std::runtime_error);
+    // The failed key was dropped, so this get() builds it again.
+    const auto value = cache.get(7, [&] {
+        ++builds;
+        return 42;
+    });
+    EXPECT_EQ(*value, 42);
+    EXPECT_EQ(builds, 2);
+    // Now it is cached: the same value, no third build.
+    EXPECT_EQ(cache.get(7, [&] {
+                  ++builds;
+                  return 0;
+              }),
+              value);
+    EXPECT_EQ(builds, 2);
 }

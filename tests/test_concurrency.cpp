@@ -11,10 +11,10 @@
  *   - two ResultStore writers racing on one store directory (the
  *     documented "two sweep shards on one store" contract:
  *     write-temp-then-rename, last-writer-wins, both rows valid);
- *   - watchdog expiry and cross-thread cancellation concurrent with
- *     Simulator::run's 64 Ki-cycle polling, including the thread_local
- *     independence of the watchdog state and the CancelFlag
- *     release/acquire pairing (the codebase's intended lock-free site);
+ *   - watchdog expiry concurrent with Simulator::run's 64 Ki-cycle
+ *     polling, including the thread_local independence of the watchdog
+ *     state;
+ *   - OnceCache's hand-off from the one builder of a key to its waiters;
  *   - makeGraph's own threads (edge chunks, CSR vertex ranges), with
  *     several builds of one graph racing each other.
  *
@@ -28,11 +28,13 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <latch>
+#include <memory>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
+#include "common/once_cache.hh"
 #include "common/watchdog.hh"
 #include "sim/runner.hh"
 #include "store/result_store.hh"
@@ -56,8 +58,8 @@ tinyConfig(const SchemeConfig &scheme = SchemeConfig::fromName("baseline"))
     return cfg;
 }
 
-/** A design point far too long to finish: only a watchdog timeout or a
- *  cancellation can end it. */
+/** A design point far too long to finish: only a watchdog timeout can
+ *  end it. */
 SystemConfig
 endlessConfig()
 {
@@ -78,56 +80,7 @@ freshDir(const std::string &name)
 } // namespace
 
 // --------------------------------------------------------------------------
-// CancelFlag / SimCancelledError semantics
-// --------------------------------------------------------------------------
-
-// The Runner's retry loop catches SimTimeoutError and re-runs the
-// point; a cancellation must never take that path.
-static_assert(!std::is_base_of_v<SimTimeoutError, SimCancelledError>,
-              "SimCancelledError must not be retried as a timeout");
-
-TEST(CancelFlag, RequestIsStickyAndIdempotent)
-{
-    watchdog::CancelFlag flag;
-    EXPECT_FALSE(flag.requested());
-    flag.request();
-    EXPECT_TRUE(flag.requested());
-    flag.request();   // idempotent
-    EXPECT_TRUE(flag.requested());
-}
-
-TEST(CancelFlag, PollThrowsOnceThenUnbinds)
-{
-    watchdog::CancelFlag flag;
-    watchdog::bindCancel(&flag);
-    watchdog::poll();   // not requested yet: no-op
-    flag.request();
-    EXPECT_THROW(watchdog::poll(), SimCancelledError);
-    // poll() unbound the flag before throwing, so the unwound thread can
-    // keep calling poll() (e.g. from a destructor-run drain) safely.
-    EXPECT_NO_THROW(watchdog::poll());
-}
-
-TEST(CancelFlag, ReleaseAcquireMakesPriorWritesVisible)
-{
-    // The documented reason the flag is release/acquire instead of
-    // relaxed: data written before request() must be visible to the
-    // thread that observes requested(). TSan verifies the ordering is
-    // real; the assert verifies the value.
-    watchdog::CancelFlag flag;
-    int payload = 0;
-    std::thread controller([&] {
-        payload = 42;
-        flag.request();
-    });
-    while (!flag.requested())
-        std::this_thread::yield();
-    EXPECT_EQ(payload, 42);
-    controller.join();
-}
-
-// --------------------------------------------------------------------------
-// Watchdog expiry / cancellation concurrent with Simulator::run polling
+// Watchdog expiry concurrent with Simulator::run polling
 // --------------------------------------------------------------------------
 
 TEST(WatchdogConcurrency, ExpiryUnwindsConcurrentRuns)
@@ -146,7 +99,7 @@ TEST(WatchdogConcurrency, ExpiryUnwindsConcurrentRuns)
             Trace trace = workloads::buildTrace(
                 ws[static_cast<std::size_t>(t) % ws.size()], 4'000, 1);
             Simulator sim(endlessConfig(),
-                          std::vector<const Trace *>{&trace});
+                          {std::make_shared<MemoryTraceSource>(trace)});
             watchdog::arm(0.05);
             try {
                 sim.run();
@@ -171,7 +124,8 @@ TEST(WatchdogConcurrency, ArmedThreadTimesOutWhileUnarmedThreadFinishes)
     std::thread doomed([&] {
         auto ws = workloads::singleCoreWorkloads(workloads::SetSize::Tiny);
         Trace trace = workloads::buildTrace(ws.front(), 4'000, 1);
-        Simulator sim(endlessConfig(), std::vector<const Trace *>{&trace});
+        Simulator sim(endlessConfig(),
+                      {std::make_shared<MemoryTraceSource>(trace)});
         watchdog::arm(0.05);
         try {
             sim.run();
@@ -183,7 +137,8 @@ TEST(WatchdogConcurrency, ArmedThreadTimesOutWhileUnarmedThreadFinishes)
     std::thread healthy([&] {
         auto ws = workloads::singleCoreWorkloads(workloads::SetSize::Tiny);
         Trace trace = workloads::buildTrace(ws.front(), 4'000, 1);
-        Simulator sim(tinyConfig(), std::vector<const Trace *>{&trace});
+        Simulator sim(tinyConfig(),
+                      {std::make_shared<MemoryTraceSource>(trace)});
         SimResult r = sim.run();
         finished = !r.stats.empty();
     });
@@ -193,35 +148,41 @@ TEST(WatchdogConcurrency, ArmedThreadTimesOutWhileUnarmedThreadFinishes)
     EXPECT_TRUE(finished.load());
 }
 
-TEST(WatchdogConcurrency, CrossThreadCancelUnwindsSimulatorRun)
+// --------------------------------------------------------------------------
+// OnceCache: one builder per key, its value handed to every waiter
+// --------------------------------------------------------------------------
+
+TEST(OnceCacheConcurrency, RacingGettersOfAColdKeyBuildItOnce)
 {
-    // The CancelFlag end to end: a controller thread requests while the
-    // simulation thread is deep inside Simulator::run; the run unwinds
-    // with SimCancelledError at its next poll.
-    watchdog::CancelFlag flag;
-    std::atomic<bool> cancelled{false};
-    std::atomic<bool> mis_typed{false};
-
-    std::thread sim_thread([&] {
-        auto ws = workloads::singleCoreWorkloads(workloads::SetSize::Tiny);
-        Trace trace = workloads::buildTrace(ws.front(), 4'000, 1);
-        Simulator sim(endlessConfig(), std::vector<const Trace *>{&trace});
-        watchdog::bindCancel(&flag);
-        try {
-            sim.run();
-        } catch (const SimCancelledError &) {
-            cancelled = true;
-        } catch (...) {
-            mis_typed = true;
+    // Eight threads ask for one cold key at once. The builder sleeps, so
+    // the others arrive while it builds and must wait for its value
+    // instead of building again; under TSan this is the hand-off the
+    // trace and graph caches rely on.
+    constexpr int kThreads = 8;
+    OnceCache<int, std::vector<int>> cache;
+    std::atomic<int> builds{0};
+    std::vector<std::shared_ptr<const std::vector<int>>> seen(kThreads);
+    {
+        std::latch start(kThreads);
+        std::vector<std::jthread> threads;
+        threads.reserve(kThreads);
+        for (auto &out : seen) {
+            threads.emplace_back([&cache, &builds, &start, &out] {
+                start.arrive_and_wait();
+                out = cache.get(1, [&builds] {
+                    ++builds;
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(20));
+                    return std::vector<int>{1, 2, 3};
+                });
+            });
         }
-        watchdog::bindCancel(nullptr);
-    });
-
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    flag.request();
-    sim_thread.join();
-    EXPECT_TRUE(cancelled.load());
-    EXPECT_FALSE(mis_typed.load());
+    }
+    EXPECT_EQ(builds.load(), 1);
+    ASSERT_NE(seen.front(), nullptr);
+    EXPECT_EQ(*seen.front(), (std::vector<int>{1, 2, 3}));
+    for (const auto &p : seen)
+        EXPECT_EQ(p, seen.front());
 }
 
 // --------------------------------------------------------------------------
@@ -291,41 +252,6 @@ TEST(RunnerConcurrency, ManyGettersOnOneJob)
         t.join();
     for (int i = 1; i < kGetters; ++i)
         EXPECT_EQ(seen[static_cast<std::size_t>(i)], seen[0]);
-}
-
-TEST(RunnerConcurrency, RequestCancelUnwindsRunningJobs)
-{
-    // A grid of never-finishing points on four workers; requestCancel()
-    // from the main thread must unwind every one with SimCancelledError
-    // (not a timeout, not a hang), including points the getter steals
-    // after the flag is already up.
-    Runner r(4);
-    auto ws = workloads::singleCoreWorkloads(workloads::SetSize::Tiny);
-    ASSERT_GE(ws.size(), 2u);
-    SystemConfig cfg = endlessConfig();
-    for (std::size_t i = 0; i < 6; ++i) {
-        const auto &w = ws[i % ws.size()];
-        SystemConfig point = cfg;
-        point.sim_instrs += i;   // distinct keys
-        r.submitSingle(w, point);
-    }
-
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    r.requestCancel();
-    EXPECT_TRUE(r.cancelRequested());
-
-    int cancelled = 0;
-    for (std::size_t i = 0; i < 6; ++i) {
-        const auto &w = ws[i % ws.size()];
-        SystemConfig point = cfg;
-        point.sim_instrs += i;
-        try {
-            r.single(w, point);
-        } catch (const SimCancelledError &) {
-            ++cancelled;
-        }
-    }
-    EXPECT_EQ(cancelled, 6);
 }
 
 // --------------------------------------------------------------------------

@@ -31,7 +31,7 @@ struct CoreRig
         : stats("t"), l1i(1, MemLevel::L1D), l1d(l1d_latency, MemLevel::L1D),
           walk(20, MemLevel::L2C), dtlb({"dtlb", 64, 4, 1}, &stats),
           stlb({"stlb", 1536, 12, 8}, &stats), tlbs(&dtlb, &stlb),
-          reader(trace)
+          source(trace), reader(source)
     {
         Core::Params cp;
         cp.name = "cpu0";
@@ -80,6 +80,7 @@ struct CoreRig
     Tlb dtlb;
     Tlb stlb;
     TranslationStack tlbs;
+    MemoryTraceSource source;
     TraceReader reader;
     std::unique_ptr<Core> core;
 };

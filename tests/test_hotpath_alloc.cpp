@@ -140,7 +140,10 @@ steadyStateAllocs(const char *workload, const SchemeConfig &scheme,
     SystemConfig cfg = SystemConfig::cascadeLake(cores);
     cfg.scheme = scheme;
     cfg.l1_prefetcher = l1_prefetcher;
-    Simulator sim(cfg, std::vector<const Trace *>(cores, &trace));
+    std::vector<std::shared_ptr<TraceSource>> sources;
+    for (unsigned c = 0; c < cores; ++c)
+        sources.push_back(std::make_shared<MemoryTraceSource>(trace));
+    Simulator sim(cfg, std::move(sources));
 
     // Warmup: reach every high-water mark. The trace repeats
     // cyclically, so this covers its full footprint several times.

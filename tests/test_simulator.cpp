@@ -304,7 +304,8 @@ TEST(Simulator, MismatchedTraceCountIsConfigErrorNotCrash)
     SystemConfig cfg = tinyConfig(4);
     try {
         // 2 traces for 4 cores
-        Simulator sim(cfg, std::vector<const Trace *>{&t, &t});
+        Simulator sim(cfg, {std::make_shared<MemoryTraceSource>(t),
+                            std::make_shared<MemoryTraceSource>(t)});
         FAIL() << "expected ConfigError";
     } catch (const ConfigError &e) {
         std::string msg = e.what();
@@ -407,9 +408,9 @@ TEST(Simulator, IdleSkipOnVsOffBitIdentical)
         SystemConfig off = on;
         off.idle_skip = false;
 
-        Simulator sim_on(on, std::vector<const Trace *>{&trace});
-        Simulator sim_off(off, std::vector<const Trace *>{&trace});
-        Simulator sim_prof(on, std::vector<const Trace *>{&trace});
+        Simulator sim_on(on, {std::make_shared<MemoryTraceSource>(trace)});
+        Simulator sim_off(off, {std::make_shared<MemoryTraceSource>(trace)});
+        Simulator sim_prof(on, {std::make_shared<MemoryTraceSource>(trace)});
         HotloopProfile profile;
         sim_prof.setProfile(&profile);
         SimResult a = sim_on.run();
@@ -452,8 +453,8 @@ TEST(Simulator, CoreSleepsOnARefusedStoreBitIdentically)
     on.sim_instrs = 50'000;
     SystemConfig off = on;
     off.idle_skip = false;
-    Simulator sim_on(on, std::vector<const Trace *>{&trace});
-    Simulator sim_off(off, std::vector<const Trace *>{&trace});
+    Simulator sim_on(on, {std::make_shared<MemoryTraceSource>(trace)});
+    Simulator sim_off(off, {std::make_shared<MemoryTraceSource>(trace)});
     const SimResult a = sim_on.run();
     const SimResult b = sim_off.run();
 
@@ -528,7 +529,10 @@ TEST(Simulator, SaturatedMixPredictsAndLooksUpEachLoadOnce)
     SystemConfig cfg = tinyConfig(4);
     cfg.sim_instrs = 20'000;
     cfg.scheme = SchemeConfig::fromName("tlp");
-    Simulator sim(cfg, std::vector<const Trace *>(4, &trace));
+    std::vector<std::shared_ptr<TraceSource>> sources;
+    for (int c = 0; c < 4; ++c)
+        sources.push_back(std::make_shared<MemoryTraceSource>(trace));
+    Simulator sim(cfg, std::move(sources));
     const SimResult r = sim.run();
     ASSERT_FALSE(r.hit_cycle_cap);
 
@@ -574,7 +578,7 @@ TEST(Simulator, DramWaitAdvancesClockInOneStep)
     Trace trace
         = workloads::buildTrace(tinyWorkload("mcf_pchase"), 4'000, 1);
     SystemConfig cfg = SystemConfig::cascadeLake(1);
-    Simulator sim(cfg, std::vector<const Trace *>{&trace});
+    Simulator sim(cfg, {std::make_shared<MemoryTraceSource>(trace)});
 
     bool exercised = false;
     for (int i = 0; i < 200'000 && !exercised; ++i) {

@@ -105,7 +105,8 @@ TEST(Trace, ReaderLoops)
         rec.alu(0x400004);
         rec.alu(0x400008);
     });
-    TraceReader r(t);
+    MemoryTraceSource src(t);
+    TraceReader r(src);
     for (int i = 0; i < 10; ++i)
         r.next();
     EXPECT_EQ(r.position(), 10u % 3u);
@@ -117,7 +118,8 @@ TEST(Trace, ReaderPeekDoesNotConsume)
         rec.load(0x400000, 0x100000000);
         rec.alu(0x400004);
     });
-    TraceReader r(t);
+    MemoryTraceSource src(t);
+    TraceReader r(src);
     const TraceInstr &p1 = r.peek();
     const TraceInstr &p2 = r.peek();
     EXPECT_EQ(&p1, &p2);

@@ -166,7 +166,8 @@ TEST(TraceFile, StreamingWrapsAcrossPassesLikeMemory)
     FileTraceSource fsrc(path, /*chunk_records=*/3);
     EXPECT_EQ(fsrc.chunkBytes(), 3 * kRecordSize);
     TraceReader file_r(fsrc, 3);
-    TraceReader mem_r(t, 3);
+    MemoryTraceSource msrc(t);
+    TraceReader mem_r(msrc, 3);
     for (std::size_t i = 0; i < 7 * 2 + 3; ++i) {
         EXPECT_EQ(file_r.position(), mem_r.position());
         expectSameInstr(file_r.next(), mem_r.next());
