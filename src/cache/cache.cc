@@ -87,7 +87,8 @@ Cache::Cache(const Params &p, MemoryBackend *lower, StatGroup *stats)
     : params_(p), lower_(lower), stats_(stats),
       tags_(static_cast<std::size_t>(p.sets) * p.ways, kNoTag),
       lru_(static_cast<std::size_t>(p.sets) * p.ways, 0),
-      blocks_(static_cast<std::size_t>(p.sets) * p.ways)
+      blocks_(static_cast<std::size_t>(p.sets) * p.ways),
+      waiter_pool_(p.mshrs)
 {
     assert(isPowerOfTwo(p.sets));
     for (int t = 0; t < 5; ++t) {
@@ -122,18 +123,6 @@ Cache::Cache(const Params &p, MemoryBackend *lower, StatGroup *stats)
     spec_delay_.reserve(p.rq_size);
     mshrs_.reserve(p.mshrs);
     cand_buf_.reserve(32);
-
-    // Pre-populate the waiter pool to its circulation bound: at most
-    // p.mshrs vectors are ever out (one per live MSHR, and MSHR creation
-    // is gated on mshrs_.size() < p.mshrs), so takeWaiterStorage() never
-    // finds the pool empty and the per-cycle path never constructs a
-    // fresh capacity-0 vector — not even the first time a cache reaches
-    // a new concurrency high-water mark deep into a run.
-    waiter_pool_.reserve(p.mshrs);
-    for (unsigned i = 0; i < p.mshrs; ++i) {
-        waiter_pool_.emplace_back();
-        waiter_pool_.back().reserve(kWaiterReserve);
-    }
 }
 
 std::uint64_t
@@ -149,16 +138,6 @@ Cache::storageBits() const
 // allocation and unwaived container growth here; test_hotpath_alloc
 // checks the same dynamically.
 // tlpsim:hot
-
-std::vector<Packet>
-Cache::takeWaiterStorage()
-{
-    if (waiter_pool_.empty())
-        return {};
-    std::vector<Packet> v = std::move(waiter_pool_.back());
-    waiter_pool_.pop_back();
-    return v;
-}
 
 Cache::Block *
 Cache::lookup(Addr paddr, bool update_lru)
@@ -369,9 +348,7 @@ Cache::processFills(Cycle now)
 
         // Swap-remove the MSHR, but keep its waiter vector's capacity in
         // the pool — MSHR turnover is steady-state and must not free.
-        mshr->waiters.clear();
-        waiter_pool_.push_back(   // tlpsim:waive(hotpath) reserved mshrs
-            std::move(mshr->waiters));
+        waiter_pool_.give(std::move(mshr->waiters));
         if (mshr != &mshrs_.back())
             *mshr = std::move(mshrs_.back());
         mshrs_.pop_back();
@@ -452,7 +429,7 @@ Cache::allocateMshr(const Packet &pkt, bool dirty_on_fill)
     mshr.type = pkt.type;
     mshr.dirty_on_fill = dirty_on_fill;
     mshr.primary = pkt;
-    mshr.waiters = takeWaiterStorage();
+    mshr.waiters = waiter_pool_.take();
     mshrs_.push_back(std::move(mshr));   // tlpsim:waive(hotpath) reserved mshrs
 }
 

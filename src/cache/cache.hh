@@ -192,9 +192,6 @@ class Cache : public MemoryBackend, public MemoryClient, public MemorySender
     bool install(const Packet &pkt, Cycle now);
 
     void respond(Packet pkt, MemLevel served_by);
-    /** Waiter storage for a new MSHR, recycled from retired ones so
-     *  steady-state merges never touch the allocator. */
-    std::vector<Packet> takeWaiterStorage();
     void notifyPrefetcher(const Packet &pkt, bool hit, bool prefetch_hit,
                           Cycle now);
     /** @p tag is the victim's tags_ entry (kNoTag for an empty way). */
@@ -217,13 +214,9 @@ class Cache : public MemoryBackend, public MemoryClient, public MemorySender
     Ring<TimedPacket> pq_;
     Ring<TimedPacket> fills_;
     Ring<TimedPacket> spec_delay_;
-    /** Initial per-vector waiter capacity (observed maxima are 1-2;
-     *  growth past this is geometric and one-time per vector). */
-    static constexpr std::size_t kWaiterReserve = 8;
-    /** Retired MSHRs' waiter vectors, kept for their capacity. The pool
-     *  is filled to the MSHR count at construction, so a live run never
-     *  constructs waiter storage from scratch. */
-    std::vector<std::vector<Packet>> waiter_pool_;
+    /** One waiter vector per live MSHR: MSHR creation is gated on
+     *  mshrs_.size() < p.mshrs, which bounds the vectors out. */
+    WaiterPool waiter_pool_;
     std::vector<PrefetchCandidate> cand_buf_;
     std::uint64_t lru_clock_ = 0;
     /** Quiet-cycle watermark: when now < next_ready_, tick(now) would

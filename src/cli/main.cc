@@ -13,7 +13,6 @@
  *   built-in Table III defaults  (SystemConfig::cascadeLake)
  *   --config FILE                ("key = value" lines; repeatable, later
  *                                 files win)
- *   TLPSIM_CONF                  ("key=value,key=value")
  *   --set KEY=VALUE              (repeatable)
  *
  * The legacy TLPSIM_WARMUP / TLPSIM_INSTRS knobs apply only when no
@@ -54,7 +53,7 @@ design point:
   --set KEY=VALUE   override one config key (repeatable)
   --scheme NAME     scheme preset (repeatable; overrides the config's
                     scheme for each listed name; scheme.* keys from
-                    --set/TLPSIM_CONF still override preset fields)
+                    --set still override preset fields)
   --workload NAME   workload to simulate (repeatable; "file:PATH" replays
                     an external .tlt trace file — see README "External
                     traces"; --sweep defaults to every workload of the
@@ -91,27 +90,27 @@ persistent sweeps (README "Persistent sweeps"):
   --store DIR       crash-safe on-disk result store: every completed
                     design point persists as a checksummed row keyed by
                     its effective-config fingerprint; stored points are
-                    served without simulating (config key: store.dir)
+                    served without simulating
   --resume          rerun an interrupted sweep: requires --store; only
                     missing, quarantined, or previously-failed points
-                    simulate (store.resume)
+                    simulate
   --shard I/N       deterministic fingerprint partition: this process
                     runs only its 1/N of the grid; shards share a store
-                    and merge by union (store.shard)
+                    and merge by union
   --timeout S       wall-clock budget per design point in seconds; a
                     point that exceeds it gets one retry, then a
                     structured failure row, and the sweep continues
-                    (store.timeout_s; exit code 3 if any point failed)
+                    (exit code 3 if any point failed)
   --out FILE        stream one JSONL row per completed point, flushed as
                     points finish — a crashed run's partial output stays
-                    usable (store.out)
+                    usable
 
 execution:
   --jobs N          worker threads (default: TLPSIM_JOBS or all cores)
   --help            this text
 
-environment: TLPSIM_CONF, TLPSIM_SET, TLPSIM_JOBS, TLPSIM_WARMUP,
-TLPSIM_INSTRS (see README "The tlpsim CLI").
+environment: TLPSIM_SET, TLPSIM_JOBS, TLPSIM_WARMUP, TLPSIM_INSTRS (see
+README "The tlpsim CLI").
 )";
 
 struct Options
@@ -134,8 +133,8 @@ struct Options
     unsigned jobs = 0;   ///< 0 = TLPSIM_JOBS / hardware default
     std::string store_dir;         ///< "" = no persistent store
     bool resume = false;
-    std::string shard;             ///< "i/N"; "" = unsharded
-    std::string timeout;           ///< seconds; "" = no watchdog
+    store::ShardSpec shard;        ///< default: unsharded
+    double timeout_s = 0.0;        ///< 0 = no watchdog
     std::string out_jsonl;         ///< "" = no streamed output
 };
 
@@ -165,6 +164,21 @@ parsePositive(const std::string &v, const char *flag)
         usageError(std::string(flag) + " expects a positive integer, got '"
                    + v + "'");
     return static_cast<unsigned>(parsed);
+}
+
+/** A finite, non-negative number of seconds (0 disables the watchdog).
+ *  Dies with a usage error otherwise. */
+double
+parseSeconds(const std::string &v, const char *flag)
+{
+    char *end = nullptr;
+    const double seconds = std::strtod(v.c_str(), &end);
+    if (v.empty() || *end != '\0' || !std::isfinite(seconds)
+        || seconds < 0.0) {
+        usageError(std::string(flag) + " expects a finite, non-negative "
+                   "number of seconds, got '" + v + "'");
+    }
+    return seconds;
 }
 
 Options
@@ -208,10 +222,11 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--resume") {
             o.resume = true;
         } else if (arg == "--shard") {
-            o.shard = need_value(i, "--shard");
+            o.shard = store::parseShardSpec(need_value(i, "--shard"));
             ++i;
         } else if (arg == "--timeout") {
-            o.timeout = need_value(i, "--timeout");
+            o.timeout_s = parseSeconds(need_value(i, "--timeout"),
+                                       "--timeout");
             ++i;
         } else if (arg == "--out") {
             o.out_jsonl = need_value(i, "--out");
@@ -244,9 +259,9 @@ parseArgs(int argc, char **argv)
 
 struct LayeredConfig
 {
-    /** All sources merged: files < env < --set. */
+    /** All sources merged: files < --set. */
     Config merged;
-    /** Env + --set only — per-invocation overrides. When --scheme or
+    /** --set only — per-invocation overrides. When --scheme or
      *  --sweep replaces the scheme axis, only these scheme.* keys are
      *  overlaid on the selected presets; a config file's scheme.* keys
      *  describe *its* scheme and must not collapse a sweep grid. */
@@ -259,7 +274,6 @@ layeredConfig(const Options &o)
     LayeredConfig lc;
     for (const std::string &path : o.config_files)
         SystemConfig::overlay(lc.merged, Config::parseFile(path));
-    lc.overrides.merge(Config::fromEnv());
     for (const std::string &assignment : o.sets) {
         SystemConfig::overlay(lc.overrides,
                               Config::parseAssignments(assignment, "--set"));
@@ -298,61 +312,6 @@ validateSchemeNames(const std::vector<std::string> &names)
                           + joinNames(unknown)
                           + "; valid names: " + joinNames(valid));
     }
-}
-
-// ----- persistent sweeps ---------------------------------------------------
-
-/** The sweep-machinery knobs: where results persist, how long a point
- *  may run, which shard of the grid this process owns. Sourced from the
- *  "store.*" config subtree (lowest precedence) overridden by the
- *  --store/--resume/--shard/--timeout/--out flags; consumed before
- *  SystemConfig::fromConfig sees the tree, because they configure the
- *  sweep, not the simulated system (and so never enter the design-point
- *  fingerprint). */
-struct SweepOptions
-{
-    std::string store_dir;
-    bool resume = false;
-    store::ShardSpec shard;
-    double timeout_s = 0.0;
-    std::string out_jsonl;
-};
-
-SweepOptions
-sweepOptions(const Options &o, LayeredConfig &lc)
-{
-    SweepOptions sw;
-    sw.store_dir = lc.merged.getString("store.dir", "");
-    sw.resume = lc.merged.getBool("store.resume", false);
-    sw.timeout_s = lc.merged.getDouble("store.timeout_s", 0.0);
-    std::string shard_spec = lc.merged.getString("store.shard", "");
-    sw.out_jsonl = lc.merged.getString("store.out", "");
-    lc.merged.eraseSub("store");
-    lc.overrides.eraseSub("store");
-
-    if (!o.store_dir.empty())
-        sw.store_dir = o.store_dir;
-    if (o.resume)
-        sw.resume = true;
-    if (!o.shard.empty())
-        shard_spec = o.shard;
-    if (!o.timeout.empty()) {
-        Config c;
-        c.set("store.timeout_s", o.timeout);
-        sw.timeout_s = c.getDouble("store.timeout_s", 0.0);
-    }
-    if (!o.out_jsonl.empty())
-        sw.out_jsonl = o.out_jsonl;
-
-    if (!shard_spec.empty())
-        sw.shard = store::parseShardSpec(shard_spec);
-    if (!std::isfinite(sw.timeout_s) || sw.timeout_s < 0.0)
-        usageError("--timeout expects a finite, non-negative number of "
-                   "seconds, got '" + std::to_string(sw.timeout_s) + "'");
-    if (sw.resume && sw.store_dir.empty())
-        usageError("--resume requires --store DIR (there is nothing to "
-                   "resume from without a store)");
-    return sw;
 }
 
 std::string
@@ -418,12 +377,13 @@ class JsonlWriter
         std::string line = "{\"point\":\"" + jsonEscape(rec.label) + "\"";
         line += ",\"fp\":\"" + store::fingerprintHex(rec.key) + "\"";
         line += ",\"status\":\"";
-        line += rec.failed ? "failed" : "ok";
+        const experiment::Runner::Outcome &oc = rec.outcome;
+        line += oc.failed ? "failed" : "ok";
         line += "\",\"source\":\"";
-        line += rec.from_store ? "store" : "sim";
-        line += "\",\"attempts\":" + std::to_string(rec.attempts);
-        if (rec.result != nullptr) {
-            const SimResult &r = *rec.result;
+        line += oc.from_store ? "store" : "sim";
+        line += "\",\"attempts\":" + std::to_string(oc.attempts);
+        if (oc.result) {
+            const SimResult &r = *oc.result;
             line += ",\"ipc_sum\":" + jsonNum(r.ipcTotal());
             line += ",\"ipc_max\":" + jsonNum(r.ipcMax());
             line += ",\"l1d_mpki\":" + jsonNum(r.mpki("l1d"));
@@ -434,7 +394,7 @@ class JsonlWriter
             line += ",\"hit_cycle_cap\":";
             line += r.hit_cycle_cap ? "true" : "false";
         } else {
-            line += ",\"error\":\"" + jsonEscape(rec.error) + "\"";
+            line += ",\"error\":\"" + jsonEscape(oc.error) + "\"";
         }
         line += "}\n";
         std::lock_guard<std::mutex> lock(m_);
@@ -447,18 +407,16 @@ class JsonlWriter
     std::mutex m_;
 };
 
-/** The canonical per-design-point row every mode prints. @p label_col is
- *  "workload" for single-core tables, "mix" for multi-core ones (mix
- *  names are wider, hence the wider column). Multi-core tables report
- *  the per-core-windowed IPC sum plus the largest per-core IPC — the
- *  plausibility number (bounded by the retire width) that CI's
- *  heterogeneous-mix smoke asserts on. */
+/** The canonical per-design-point table every mode prints. Single-core
+ *  tables label rows by workload; multi-core ones by mix, in a wider
+ *  column, and report the per-core-windowed IPC sum plus the largest
+ *  per-core IPC — the plausibility number (bounded by the retire width)
+ *  that CI's heterogeneous-mix smoke asserts on. */
 TablePrinter
-resultTable(const std::string &label_col = "workload",
-            unsigned col_width = 14, bool per_core_ipc = false)
+resultTable(bool multi_core)
 {
-    std::vector<std::string> cols{label_col, "scheme"};
-    if (per_core_ipc) {
+    std::vector<std::string> cols{multi_core ? "mix" : "workload", "scheme"};
+    if (multi_core) {
         cols.push_back("ipc_sum");
         cols.push_back("ipc_max");
     } else {
@@ -467,41 +425,33 @@ resultTable(const std::string &label_col = "workload",
     for (const char *c : {"l1d_mpki", "l2c_mpki", "llc_mpki", "dram_tx",
                           "l1d_pf_acc"})
         cols.push_back(c);
-    return TablePrinter(std::move(cols), col_width);
+    return TablePrinter(std::move(cols), multi_core ? 24 : 14);
 }
 
+/** Render one outcome: a metric row, or — for a design point the
+ *  watchdog recorded as a structured failure — a FAILED marker row (the
+ *  diagnostics already carry the detail; the table stays aligned). */
 void
-printResultRow(const TablePrinter &tp, const std::string &workload,
-               const SimResult &r, bool per_core_ipc = false)
+printOutcomeRow(const TablePrinter &tp, const std::string &label,
+                const std::string &scheme_name,
+                const experiment::Runner::Outcome &oc, bool multi_core)
 {
-    std::vector<std::string> cells{workload, r.scheme,
+    if (oc.failed) {
+        std::vector<std::string> cells{label, scheme_name, "FAILED"};
+        cells.resize(multi_core ? 9 : 8, "-");
+        tp.printRow(cells);
+        return;
+    }
+    const SimResult &r = *oc.result;
+    std::vector<std::string> cells{label, r.scheme,
                                    TablePrinter::fmt(r.ipcTotal(), 4)};
-    if (per_core_ipc)
+    if (multi_core)
         cells.push_back(TablePrinter::fmt(r.ipcMax(), 4));
     cells.push_back(TablePrinter::fmt(r.mpki("l1d"), 2));
     cells.push_back(TablePrinter::fmt(r.mpki("l2c"), 2));
     cells.push_back(TablePrinter::fmt(r.mpki("llc"), 2));
     cells.push_back(std::to_string(r.dramTransactions()));
     cells.push_back(TablePrinter::fmt(r.l1dPrefetchAccuracy() * 100.0, 1));
-    tp.printRow(cells);
-}
-
-/** Render one outcome: a normal metric row, or — for a design point the
- *  watchdog recorded as a structured failure — a FAILED marker row (the
- *  diagnostics already carry the detail; the table stays aligned). */
-void
-printOutcomeRow(const TablePrinter &tp, const std::string &label,
-                const std::string &scheme_name,
-                const experiment::Runner::Outcome &oc,
-                bool per_core_ipc = false)
-{
-    if (!oc.failed) {
-        printResultRow(tp, label, *oc.result, per_core_ipc);
-        return;
-    }
-    std::vector<std::string> cells{label, scheme_name, "FAILED"};
-    for (std::size_t i = 0; i < (per_core_ipc ? 6u : 5u); ++i)
-        cells.push_back("-");
     tp.printRow(cells);
 }
 
@@ -542,9 +492,9 @@ run(const Options &o)
     }
 
     LayeredConfig lc = layeredConfig(o);
-    // Sweep-machinery knobs ("store.*") are consumed here, before
-    // SystemConfig::fromConfig would reject them as unknown system keys.
-    SweepOptions sw = sweepOptions(o, lc);
+    if (o.resume && o.store_dir.empty())
+        usageError("--resume requires --store DIR (there is nothing to "
+                   "resume from without a store)");
 
     // Mix axis sources: --mix flags plus the workload.mix config key.
     // "workload.*" keys are the workload axis, not SystemConfig fields;
@@ -625,9 +575,9 @@ run(const Options &o)
 
     // Scheme axis: explicit --scheme list, else the config's scheme for a
     // single run, else baseline + the paper schemes for a sweep. Explicit
-    // scheme.* keys from --set / TLPSIM_CONF override every selected
-    // preset's keys (config-file scheme.* keys shape the file's own
-    // scheme only, applied through `base` above).
+    // scheme.* keys from --set override every selected preset's keys
+    // (config-file scheme.* keys shape the file's own scheme only,
+    // applied through `base` above).
     validateSchemeNames(o.schemes);
     const Config scheme_overrides = lc.overrides.sub("scheme");
     std::vector<SchemeConfig> schemes;
@@ -689,27 +639,27 @@ run(const Options &o)
     }
 
     StorePolicy policy;
-    if (!sw.store_dir.empty()) {
-        if (sw.resume && !std::filesystem::exists(sw.store_dir)) {
-            throw ConfigError("--resume: store '" + sw.store_dir
+    if (!o.store_dir.empty()) {
+        if (o.resume && !std::filesystem::exists(o.store_dir)) {
+            throw ConfigError("--resume: store '" + o.store_dir
                               + "' does not exist; nothing to resume "
                                 "(drop --resume to start a fresh store)");
         }
-        policy.store = std::make_shared<store::ResultStore>(sw.store_dir);
-        if (sw.resume) {
+        policy.store = std::make_shared<store::ResultStore>(o.store_dir);
+        if (o.resume) {
             diag("store",
                  "resume: " + std::to_string(policy.store->okRowCount())
-                     + " ok row(s) already in " + sw.store_dir);
+                     + " ok row(s) already in " + o.store_dir);
         }
     }
-    policy.timeout_s = sw.timeout_s;
+    policy.timeout_s = o.timeout_s;
 
     // The JSONL writer outlives the Runner: workers stream rows into it
     // until the last job completes.
     JsonlWriter jsonl;
     Runner runner(o.jobs == 0 ? jobsFromEnv() : o.jobs, policy);
-    if (!sw.out_jsonl.empty()) {
-        jsonl.open(sw.out_jsonl);
+    if (!o.out_jsonl.empty()) {
+        jsonl.open(o.out_jsonl);
         runner.setOnComplete(
             [&jsonl](const Runner::CompletionRecord &rec) {
                 jsonl.write(rec);
@@ -720,91 +670,37 @@ run(const Options &o)
     // submits (and prints) only the points it owns; the partition
     // depends only on point keys, never on submission order or worker
     // count, so N shards over one store union to exactly the full grid.
-    auto in_shard = [&sw](const std::string &key) {
-        return store::shardOf(key, sw.shard.count) == sw.shard.index;
+    auto in_shard = [&o](const std::string &key) {
+        return store::shardOf(key, o.shard.count) == o.shard.index;
     };
 
-    // Emitted after every table: the sweep's persistence ledger, on the
-    // stable diagnostic prefix CI greps ("tlpsim: store: ..."). Exit
-    // code 3 reports "the grid completed but some points failed".
-    auto finish = [&]() -> int {
-        if (policy.store != nullptr) {
-            const auto c = policy.store->counters();
-            diag("store",
-                 "reused=" + std::to_string(runner.storeHitCount())
-                     + " simulated="
-                     + std::to_string(runner.simulatedCount()) + " failed="
-                     + std::to_string(runner.failedCount())
-                     + " quarantined=" + std::to_string(c.quarantined)
-                     + " saved=" + std::to_string(c.saved));
-        }
-        return runner.failedCount() > 0 ? 3 : 0;
-    };
-
+    // Design-point axis: one mix per point. A single-core point is its
+    // one-workload mix (same key, label and simulation), so both kinds
+    // of run submit, shard and render through the one loop below.
     const bool multi_core = base.num_cores > 1 || !mix_names.empty();
+    std::vector<workloads::Mix> mixes;
     if (!multi_core) {
-        // Workload axis: explicit names, else (sweep only) the whole
-        // set. All names resolve — or fail together — before anything
-        // is submitted.
-        std::vector<workloads::WorkloadSpec> selected;
-        if (!o.workload_names.empty()) {
-            for (int idx : workloads::resolveWorkloadIndices(
-                     all_workloads, o.workload_names, "--workload")) {
-                selected.push_back(
-                    all_workloads[static_cast<std::size_t>(idx)]);
-            }
-        } else if (o.sweep) {
-            selected = all_workloads;
-        } else {
+        // Explicit names, else (sweep only) the whole set. All names
+        // resolve — or fail together — before anything is submitted.
+        std::vector<std::string> names = o.workload_names;
+        if (names.empty() && o.sweep) {
+            for (const auto &w : all_workloads)
+                names.push_back(w.name);
+        } else if (names.empty()) {
             throw ConfigError("no workload selected: pass --workload NAME "
                               "(repeatable) or --sweep; --list-workloads "
                               "shows the choices");
         }
-
-        // Submit the (shard-filtered) grid up front; render in
-        // deterministic order.
-        std::size_t owned = 0;
-        for (const auto &cfg : grid) {
-            for (const auto &w : selected) {
-                if (!in_shard(singlePointKey(w, cfg)))
-                    continue;
-                runner.submitSingle(w, cfg);
-                ++owned;
-            }
+        workloads::resolveWorkloadIndices(all_workloads, names,
+                                          "--workload");
+        for (const std::string &name : names) {
+            mixes.push_back(
+                workloads::mixFromNames(all_workloads, {name}, "--workload"));
         }
-        std::fprintf(stderr,
-                     "[tlpsim] %zu workload(s) x %zu scheme(s)%s, "
-                     "warmup=%llu sim=%llu, jobs=%u\n",
-                     selected.size(), grid.size(),
-                     sw.shard.sharded()
-                         ? (" (shard " + std::to_string(sw.shard.index)
-                            + "/" + std::to_string(sw.shard.count) + ": "
-                            + std::to_string(owned) + " point(s))")
-                               .c_str()
-                         : "",
-                     static_cast<unsigned long long>(base.warmup_instrs),
-                     static_cast<unsigned long long>(base.sim_instrs),
-                     runner.jobs());
-
-        TablePrinter tp = resultTable();
-        tp.printHeader(o.sweep ? "tlpsim sweep" : "tlpsim run");
-        for (const auto &w : selected) {
-            for (const auto &cfg : grid) {
-                const std::string key = singlePointKey(w, cfg);
-                if (!in_shard(key))
-                    continue;
-                printOutcomeRow(tp, w.name, cfg.scheme.name,
-                                runner.outcome(key));
-            }
-        }
-        return finish();
     }
-
-    // ---- multi-core: the mixes x schemes grid --------------------------
-    // Validate the whole mix axis in one pass: every workload name of
-    // every mix resolves, or the union of unknown names is reported in a
-    // single error before any simulation starts.
-    std::vector<workloads::Mix> mixes;
+    // Multi-core: validate the whole mix axis in one pass: every workload
+    // name of every mix resolves, or the union of unknown names is
+    // reported in a single error before any simulation starts.
     if (!mix_names.empty()) {
         std::vector<std::string> every_name;
         for (const auto &names : mix_names)
@@ -829,7 +725,7 @@ run(const Options &o)
                 + " (one workload per core; adjust --cores or the mix)");
         }
     }
-    if (!o.workload_names.empty()) {
+    if (multi_core && !o.workload_names.empty()) {
         // A bare workload name on N cores is the N-copy homogeneous mix;
         // --workload and --mix union into one mix axis, no flag is
         // silently dropped.
@@ -856,6 +752,8 @@ run(const Options &o)
                           "or --sweep for the generated mix set");
     }
 
+    // Submit the (shard-filtered) grid up front; render in deterministic
+    // order.
     std::size_t owned = 0;
     for (const auto &cfg : grid) {
         for (const auto &mix : mixes) {
@@ -865,32 +763,49 @@ run(const Options &o)
             ++owned;
         }
     }
-    std::fprintf(stderr,
-                 "[tlpsim] %zu mix(es) x %zu scheme(s) on %u cores%s, "
-                 "warmup=%llu sim=%llu, jobs=%u\n",
-                 mixes.size(), grid.size(), base.num_cores,
-                 sw.shard.sharded()
-                     ? (" (shard " + std::to_string(sw.shard.index) + "/"
-                        + std::to_string(sw.shard.count) + ": "
-                        + std::to_string(owned) + " point(s))")
-                           .c_str()
-                     : "",
+    const std::string axis = multi_core
+        ? std::to_string(mixes.size()) + " mix(es) x "
+            + std::to_string(grid.size()) + " scheme(s) on "
+            + std::to_string(base.num_cores) + " cores"
+        : std::to_string(mixes.size()) + " workload(s) x "
+            + std::to_string(grid.size()) + " scheme(s)";
+    const std::string shard_note = o.shard.sharded()
+        ? " (shard " + std::to_string(o.shard.index) + "/"
+            + std::to_string(o.shard.count) + ": " + std::to_string(owned)
+            + " point(s))"
+        : "";
+    std::fprintf(stderr, "[tlpsim] %s%s, warmup=%llu sim=%llu, jobs=%u\n",
+                 axis.c_str(), shard_note.c_str(),
                  static_cast<unsigned long long>(base.warmup_instrs),
                  static_cast<unsigned long long>(base.sim_instrs),
                  runner.jobs());
 
-    TablePrinter tp = resultTable("mix", 24, /*per_core_ipc=*/true);
-    tp.printHeader(o.sweep ? "tlpsim mix sweep" : "tlpsim mix run");
+    TablePrinter tp = resultTable(multi_core);
+    tp.printHeader(std::string(multi_core ? "tlpsim mix " : "tlpsim ")
+                   + (o.sweep ? "sweep" : "run"));
     for (const auto &mix : mixes) {
         for (const auto &cfg : grid) {
             const std::string key = mixPointKey(mix, cfg);
             if (!in_shard(key))
                 continue;
             printOutcomeRow(tp, mix.name, cfg.scheme.name,
-                            runner.outcome(key), /*per_core_ipc=*/true);
+                            runner.outcome(key), multi_core);
         }
     }
-    return finish();
+
+    // The sweep's persistence ledger, on the stable diagnostic prefix CI
+    // greps ("tlpsim: store: ..."). Exit code 3 reports "the grid
+    // completed but some points failed".
+    if (policy.store != nullptr) {
+        const auto c = policy.store->counters();
+        diag("store",
+             "reused=" + std::to_string(runner.storeHitCount())
+                 + " simulated=" + std::to_string(runner.simulatedCount())
+                 + " failed=" + std::to_string(runner.failedCount())
+                 + " quarantined=" + std::to_string(c.quarantined)
+                 + " saved=" + std::to_string(c.saved));
+    }
+    return runner.failedCount() > 0 ? 3 : 0;
 }
 
 } // namespace

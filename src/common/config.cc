@@ -391,14 +391,6 @@ Config::parseAssignments(const std::string &text, const std::string &origin)
 }
 
 Config
-Config::fromEnv()
-{
-    const char *v = std::getenv("TLPSIM_CONF");
-    return v == nullptr ? Config{}
-                        : parseAssignments(v, "TLPSIM_CONF");
-}
-
-Config
 Config::fromEnvVar(const char *name)
 {
     Config c;

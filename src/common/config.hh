@@ -9,8 +9,7 @@
  *
  *   1. built-in defaults (SystemConfig::cascadeLake),
  *   2. config files      (Config::parseFile, "key = value" lines),
- *   3. the TLPSIM_CONF environment variable ("key=value,key=value"),
- *   4. --set KEY=VALUE command-line flags,
+ *   3. --set KEY=VALUE command-line flags ("key=value,key=value"),
  *
  * merged with Config::merge (later layers win per key). Typed getters
  * throw ConfigError with the offending key, value, and expectation, so
@@ -119,8 +118,8 @@ class Config
      * List-valued key: the value split on ',', '+', or whitespace, empty
      * items dropped. ',' reads naturally in config files
      * ("workload.mix = bfs.kron, mcf_pchase"); '+' survives the
-     * assignment syntax of TLPSIM_CONF / --set, where ',' already
-     * separates assignments ("workload.mix=bfs.kron+mcf_pchase").
+     * assignment syntax of --set, where ',' already separates
+     * assignments ("workload.mix=bfs.kron+mcf_pchase").
      * Returns @p fallback when the key is absent.
      */
     std::vector<std::string>
@@ -140,13 +139,10 @@ class Config
 
     static Config parseFile(const std::string &path);
 
-    /** Parse "key=value,key=value" (',' or ';' separated) — the TLPSIM_CONF
-     *  / --set flag syntax. */
+    /** Parse "key=value,key=value" (',' or ';' separated) — the --set
+     *  flag syntax. */
     static Config parseAssignments(const std::string &text,
                                    const std::string &origin = "<args>");
-
-    /** The TLPSIM_CONF environment overlay (empty if unset). */
-    static Config fromEnv();
 
     /** Environment variable @p name as a one-key config under that name
      *  (empty if unset), so the typed getters parse it strictly and

@@ -480,13 +480,16 @@ Core::flushSpecDelay(Cycle now)
 void
 Core::retire(Cycle now)
 {
-    store_blocked_ = false;
     for (unsigned n = 0; n < params_.retire_width && rob_head_ != rob_tail_;
          ++n) {
         std::uint32_t slot = robIndex(rob_head_);
         if (rob_state_[slot] != State::Done || rob_done_[slot] > now)
             break;
         if (rob_is_store_[slot] != 0) {
+            // A store the L1D refused waits for its wake: the write queue
+            // gains room only in an L1D tick, which wakes this core.
+            if (store_blocked_)
+                break;
             const Addr st_vaddr = rob_st_vaddr_[slot];
             Packet w;
             w.vaddr = st_vaddr;

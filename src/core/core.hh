@@ -272,9 +272,10 @@ class Core : public MemoryClient, public MemorySender
      *  full, not waiting): that path bumps ifetch_stalls every retry
      *  cycle, so nextEventCycle() must refuse to skip over it. */
     bool fetch_retry_ = false;
-    /** Set when this tick's retire broke on a store the L1D refused: the
-     *  head sleeps until the L1D wakes the core (wake()), as a refused
-     *  cache request sleeps until the level below wakes it. */
+    /** Set when retire broke on a store the L1D refused. Only wake()
+     *  clears it: the head store is not offered again, not even on a
+     *  tick another event drives, until the L1D wakes the core, as a
+     *  refused cache request sleeps until the level below wakes it. */
     bool store_blocked_ = false;
     InstrCount retired_ = 0;
     Cycle now_ = 0;

@@ -9,7 +9,7 @@ namespace tlpsim
 {
 
 DramController::DramController(const Params &p, StatGroup *stats)
-    : params_(p), banks_(p.banks),
+    : params_(p), waiter_pool_(std::size_t{p.rq_size} + 8), banks_(p.banks),
       spec_buffer_(p.num_cores,
                    std::vector<SpecLine>(p.spec_buffer_entries)),
       txn_(stats->counter(p.name + ".transactions")),
@@ -31,35 +31,12 @@ DramController::DramController(const Params &p, StatGroup *stats)
     read_q_.reserve(p.rq_size);
     write_q_.reserve(p.wq_size);
     in_flight_.reserve(p.rq_size);
-
-    // Pre-populate the waiter pool to the circulation bound: every live
-    // read entry (queued or in flight) holds one vector, the read queue
-    // is gated at rq_size, and the issue gating in tick() keeps the
-    // in-flight list shallow. Pre-filling means takeWaiterStorage()
-    // never constructs fresh storage on the per-cycle path, even the
-    // first time the controller reaches a new occupancy high-water mark.
-    const std::size_t pool = std::size_t{p.rq_size} + 8;
-    waiter_pool_.reserve(pool);
-    for (std::size_t i = 0; i < pool; ++i) {
-        waiter_pool_.emplace_back();
-        waiter_pool_.back().reserve(kWaiterReserve);
-    }
 }
 
 // Everything below runs on the per-cycle path. tlpsim-audit's hotpath
 // check bans allocation and unwaived container growth here;
 // tests/test_hotpath_alloc.cpp checks the same dynamically.
 // tlpsim:hot
-
-std::vector<Packet>
-DramController::takeWaiterStorage()
-{
-    if (waiter_pool_.empty())
-        return {};
-    std::vector<Packet> v = std::move(waiter_pool_.back());
-    waiter_pool_.pop_back();
-    return v;
-}
 
 unsigned
 DramController::bankOf(Addr paddr) const
@@ -126,7 +103,7 @@ DramController::sendRead(const Packet &pkt)
         }
         spec_issued_->add();
         read_q_.push_back(   // tlpsim:waive(hotpath) reserved rq_size
-            {pkt, pkt.birth, takeWaiterStorage()});
+            {pkt, pkt.birth, waiter_pool_.take()});
         sched_quiet_until_ = 0;   // new entry: its bank may be idle
         next_tick_ = 0;
         return true;
@@ -186,7 +163,7 @@ DramController::sendRead(const Packet &pkt)
         return false;
     }
     read_q_.push_back(   // tlpsim:waive(hotpath) reserved rq_size
-        {pkt, pkt.birth, takeWaiterStorage()});
+        {pkt, pkt.birth, waiter_pool_.take()});
     sched_quiet_until_ = 0;   // new entry: its bank may be idle
     next_tick_ = 0;
     return true;
@@ -311,9 +288,7 @@ DramController::completeReads(Cycle now)
             }
         }
         // Keep the waiter vector's capacity for the next read entry.
-        f.entry.waiters.clear();
-        waiter_pool_.push_back(   // tlpsim:waive(hotpath) reserved rq_size
-            std::move(f.entry.waiters));
+        waiter_pool_.give(std::move(f.entry.waiters));
     }
     next_done_ = next;
 }

@@ -132,10 +132,6 @@ class DramController : public MemoryBackend
     SpecLine *findSpecLine(std::uint8_t core, Addr block);
     SpecLine *allocSpecLine(std::uint8_t core, Addr block, Cycle now);
 
-    /** Waiter storage for a new read entry, recycled from completed
-     *  ones so steady-state merges never touch the allocator. */
-    std::vector<Packet> takeWaiterStorage();
-
     Params params_;
     // The queues are vectors (reserved to their Params bound), not
     // deques: FR-FCFS scans by index and erases in the middle anyway,
@@ -143,11 +139,10 @@ class DramController : public MemoryBackend
     std::vector<QueueEntry> read_q_;
     std::vector<QueueEntry> write_q_;
     std::vector<InFlight> in_flight_;
-    /** Initial per-vector waiter capacity (cf. Cache::kWaiterReserve). */
-    static constexpr std::size_t kWaiterReserve = 8;
-    /** Completed entries' waiter vectors, kept for their capacity. The
-     *  pool is filled to the occupancy bound at construction. */
-    std::vector<std::vector<Packet>> waiter_pool_;
+    /** One waiter vector per live read entry, queued or in flight: the
+     *  read queue is gated at rq_size, and the issue gating in tick()
+     *  keeps the in-flight list shallow. */
+    WaiterPool waiter_pool_;
     std::vector<Bank> banks_;
     std::vector<std::vector<SpecLine>> spec_buffer_;   ///< [core][entry]
     Cycle bus_free_at_ = 0;

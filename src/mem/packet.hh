@@ -17,7 +17,9 @@
 #define TLPSIM_MEM_PACKET_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -76,6 +78,52 @@ struct Packet
     {
         return type == AccessType::Load || type == AccessType::Rfo;
     }
+};
+
+/**
+ * Recycled waiter vectors for a level's in-flight entries (a cache's
+ * MSHRs, the DRAM controller's read entries): an entry takes one when it
+ * opens and gives it back when it completes, keeping its capacity, so
+ * steady-state merges never touch the allocator. The pool is filled to
+ * its circulation bound at construction, so take() never constructs
+ * fresh storage on the per-cycle path, not even the first time a level
+ * reaches a new occupancy high-water mark.
+ */
+class WaiterPool
+{
+  public:
+    /** @p bound: the most vectors out at once (live entries). */
+    explicit WaiterPool(std::size_t bound) : pool_(bound)
+    {
+        for (std::vector<Packet> &v : pool_)
+            v.reserve(kReserve);
+    }
+
+    // tlpsim:hot
+    std::vector<Packet>
+    take()
+    {
+        if (pool_.empty())
+            return {};
+        std::vector<Packet> v = std::move(pool_.back());
+        pool_.pop_back();
+        return v;
+    }
+
+    void
+    give(std::vector<Packet> &&v)
+    {
+        v.clear();
+        pool_.push_back(   // tlpsim:waive(hotpath) filled to its bound
+            std::move(v));
+    }
+    // tlpsim:endhot
+
+  private:
+    /** Initial per-vector capacity (observed maxima are 1-2; growth past
+     *  this is geometric and one-time per vector). */
+    static constexpr std::size_t kReserve = 8;
+    std::vector<std::vector<Packet>> pool_;
 };
 
 /**

@@ -121,23 +121,16 @@ Runner::await(const std::string &key)
 const SimResult &
 Runner::get(const std::string &key)
 {
-    Job &job = await(key);
-    if (job.failed)
-        throw SimTimeoutError(job.fail_error);
-    return job.result;
+    const Outcome &out = await(key).outcome;
+    if (out.failed)
+        throw SimTimeoutError(out.error);
+    return *out.result;
 }
 
-Runner::Outcome
+const Runner::Outcome &
 Runner::outcome(const std::string &key)
 {
-    Job &job = await(key);
-    Outcome out;
-    out.failed = job.failed;
-    out.result = job.failed ? nullptr : &job.result;
-    out.error = job.fail_error;
-    out.attempts = job.attempts;
-    out.from_store = job.from_store;
-    return out;
+    return await(key).outcome;
 }
 
 void
@@ -149,12 +142,8 @@ Runner::execute(const std::string &key, Job &job,
     const std::string label = job.label;
     lock.unlock();
 
-    SimResult result;
+    Outcome out;
     std::exception_ptr error;
-    bool failed = false;
-    bool from_store = false;
-    unsigned attempts = 0;
-    std::string fail_msg;
 
     // 1. Persistent-store hit: an ok row is the result — no simulation.
     //    A failure row (earlier run recorded a timeout) and a
@@ -164,8 +153,8 @@ Runner::execute(const std::string &key, Job &job,
         if (auto row = policy_.store->load(key)) {
             if (row->getString(store::kStatusKey, "") == store::kStatusOk) {
                 try {
-                    result = simResultFromConfig(*row);
-                    from_store = true;
+                    out.result = simResultFromConfig(*row);
+                    out.from_store = true;
                 } catch (const ConfigError &e) {
                     // Checksummed but undeserializable: a row written by
                     // an incompatible format revision. Recompute (and
@@ -179,28 +168,28 @@ Runner::execute(const std::string &key, Job &job,
     }
 
     // 2. Simulate under the watchdog, with bounded timeout retries.
-    if (!from_store) {
+    if (!out.from_store) {
         for (;;) {
-            ++attempts;
+            ++out.attempts;
             if (policy_.timeout_s > 0.0)
                 watchdog::arm(policy_.timeout_s);
             try {
-                result = fn();
+                out.result = fn();
                 watchdog::disarm();
                 break;
             } catch (const SimTimeoutError &e) {
                 watchdog::disarm();
-                if (attempts >= policy_.timeout_attempts) {
-                    failed = true;
-                    fail_msg = std::string(e.what()) + " ("
-                        + std::to_string(attempts) + " attempt(s))";
-                    diag("watchdog", label + ": " + fail_msg
+                if (out.attempts >= policy_.timeout_attempts) {
+                    out.failed = true;
+                    out.error = std::string(e.what()) + " ("
+                        + std::to_string(out.attempts) + " attempt(s))";
+                    diag("watchdog", label + ": " + out.error
                                          + "; recording a failure row and "
                                            "continuing the sweep");
                     break;
                 }
                 diag("watchdog", label + ": " + e.what() + "; retrying ("
-                                     + std::to_string(attempts + 1) + "/"
+                                     + std::to_string(out.attempts + 1) + "/"
                                      + std::to_string(
                                            policy_.timeout_attempts)
                                      + ")");
@@ -216,42 +205,34 @@ Runner::execute(const std::string &key, Job &job,
         // 3. Persist the outcome (ok or structured failure).
         if (policy_.store && !error) {
             Config row;
-            if (failed) {
+            if (out.failed) {
                 row.set(store::kStatusKey, store::kStatusFailed);
-                row.set("error", fail_msg);
-                row.set("attempts", attempts);
+                row.set("error", out.error);
+                row.set("attempts", out.attempts);
                 row.set("timeout_s", policy_.timeout_s);
             } else {
-                row = simResultToConfig(result);
+                row = simResultToConfig(*out.result);
                 row.set(store::kStatusKey, store::kStatusOk);
             }
             policy_.store->save(key, row);
         }
     }
 
-    // 4. Stream the completion (outside the lock; the record's pointers
+    // 4. Stream the completion (outside the lock; the record's references
     //    are only promised for the duration of the call).
-    if (on_complete_ && !error) {
-        CompletionRecord rec{key,      label,    failed, from_store,
-                             attempts, fail_msg, failed ? nullptr : &result};
-        on_complete_(rec);
-    }
+    if (on_complete_ && !error)
+        on_complete_({key, label, out});
 
     lock.lock();
-    job.result = std::move(result);
-    job.error = error;
-    job.failed = failed;
-    job.from_store = from_store;
-    job.attempts = attempts;
-    job.fail_error = std::move(fail_msg);
-    job.state = State::Done;
-    ++completed_;
-    if (from_store)
+    if (out.from_store)
         ++store_hits_;
-    else if (failed)
+    else if (out.failed)
         ++failed_;
     else if (!error)
         ++simulated_;
+    job.outcome = std::move(out);
+    job.error = error;
+    job.state = State::Done;
     done_cv_.notify_all();
 }
 
@@ -334,20 +315,6 @@ Runner::mix(const std::vector<workloads::WorkloadSpec> &all,
 {
     submitMix(all, mix, cfg);
     return get(mixPointKey(mix, cfg));
-}
-
-std::size_t
-Runner::submitted() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    return map_.size();
-}
-
-std::size_t
-Runner::completed() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    return completed_;
 }
 
 std::size_t

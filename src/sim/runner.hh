@@ -37,12 +37,12 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
-
-#include <memory>
 
 #include "common/watchdog.hh"
 #include "sim/experiment.hh"
@@ -116,25 +116,19 @@ class Runner
     struct Outcome
     {
         bool failed = false;
-        /** Valid when !failed; points into Runner-owned storage (stable
-         *  for the Runner's life). */
-        const SimResult *result = nullptr;
+        std::optional<SimResult> result;   ///< set when !failed
         std::string error;        ///< failure description (failed only)
         unsigned attempts = 0;    ///< simulation attempts (0 = stored hit)
         bool from_store = false;  ///< served from the persistent store
     };
 
     /** One completed point, streamed to the completion observer. The
-     *  result pointer is only valid during the callback. */
+     *  references are only valid during the callback. */
     struct CompletionRecord
     {
         const std::string &key;
         const std::string &label;
-        bool failed;
-        bool from_store;
-        unsigned attempts;
-        const std::string &error;
-        const SimResult *result;   ///< null when failed
+        const Outcome &outcome;
     };
     using CompletionFn = std::function<void(const CompletionRecord &)>;
 
@@ -165,16 +159,9 @@ class Runner
     const SimResult &get(const std::string &key);
 
     /** Block like get(), but report watchdog failures as data instead of
-     *  throwing (non-timeout simulation errors still rethrow). */
-    Outcome outcome(const std::string &key);
-
-    /** submit() + get(). */
-    const SimResult &
-    run(const std::string &key, JobFn fn)
-    {
-        submit(key, std::move(fn));
-        return get(key);
-    }
+     *  throwing (non-timeout simulation errors still rethrow). The
+     *  reference stays valid for the Runner's life. */
+    const Outcome &outcome(const std::string &key);
 
     // ----- design-point helpers used by the bench binaries --------------
 
@@ -195,8 +182,6 @@ class Runner
                          const workloads::Mix &mix, const SystemConfig &cfg);
 
     unsigned jobs() const { return jobs_; }
-    std::size_t submitted() const;
-    std::size_t completed() const;
 
     // Sweep accounting (for resume/shard reporting and CI assertions):
     /** Points actually simulated in this process (not store-served). */
@@ -221,12 +206,8 @@ class Runner
         State state = State::Pending;
         JobFn fn;
         std::string label;
-        SimResult result;
-        std::exception_ptr error;
-        bool failed = false;       ///< structured watchdog failure
-        bool from_store = false;
-        unsigned attempts = 0;
-        std::string fail_error;
+        std::exception_ptr error;   ///< a non-timeout simulation error
+        Outcome outcome;
     };
 
     void workerLoop();
@@ -246,7 +227,6 @@ class Runner
     std::map<std::string, Job> map_;    ///< node-stable result storage
     std::deque<std::string> queue_;     ///< submission order
     bool stop_ = false;
-    std::size_t completed_ = 0;
     std::size_t simulated_ = 0;
     std::size_t store_hits_ = 0;
     std::size_t failed_ = 0;

@@ -193,14 +193,14 @@ struct SystemConfig
     Config dumpConfig() const;
 
     /**
-     * Overlay config layer @p upper on @p lower (files < TLPSIM_CONF <
-     * --set; @p upper wins per key). Where both layers name a component
-     * for a slot ("scheme.offchip", "l1d.prefetcher", ...) and the
-     * names differ, @p lower's knobs for that slot are dropped first:
-     * they tuned the component being replaced. Likewise an @p upper that
-     * names a scheme preset ("scheme = hermes") drops @p lower's
-     * "scheme" and every "scheme.*" key; @p upper's own scheme.* keys
-     * still apply over the preset.
+     * Overlay config layer @p upper on @p lower (files < --set; @p upper
+     * wins per key). Where both layers name a component for a slot
+     * ("scheme.offchip", "l1d.prefetcher", ...) and the names differ,
+     * @p lower's knobs for that slot are dropped first: they tuned the
+     * component being replaced. Likewise an @p upper that names a
+     * scheme preset ("scheme = hermes") drops @p lower's "scheme" and
+     * every "scheme.*" key; @p upper's own scheme.* keys still apply
+     * over the preset.
      */
     static void overlay(Config &lower, const Config &upper);
 

@@ -1,12 +1,12 @@
 #include "store/result_store.hh"
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
 #include <unistd.h>
 
 #include "common/diag.hh"
+#include "common/hash.hh"
 
 namespace fs = std::filesystem;
 
@@ -17,27 +17,6 @@ namespace
 {
 
 constexpr const char *kMagic = "tlpsim-row v1";
-
-std::string
-checksumHex(std::uint64_t sum)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(sum));
-    return buf;
-}
-
-std::uint64_t
-fnv1a(std::uint64_t h, const std::string &s)
-{
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
 
 /** Parse one "<label> <value>" header line out of @p text at @p pos;
  *  advances pos past the newline. Returns false on any mismatch. */
@@ -77,13 +56,13 @@ parseSize(const std::string &s, std::size_t &out)
 std::uint64_t
 fingerprint64(const std::string &s)
 {
-    return fnv1a(kFnvBasis, s);
+    return fnv1a64(s);
 }
 
 std::string
 fingerprintHex(const std::string &s)
 {
-    return checksumHex(fingerprint64(s));
+    return hex16(fingerprint64(s));
 }
 
 unsigned
@@ -188,7 +167,7 @@ ResultStore::verifyAndParse(const std::string &path, const std::string &key,
         return false;
     }
     const std::string payload = text.substr(pos);
-    if (checksumHex(fnv1a(kFnvBasis, payload)) != sum_s) {
+    if (hex16(fnv1a64(payload)) != sum_s) {
         reason_out = "checksum mismatch (bit rot or a torn write)";
         return false;
     }
@@ -244,24 +223,14 @@ ResultStore::load(const std::string &key)
 {
     const std::string path = rowPath(key);
     std::error_code ec;
-    if (!fs::exists(path, ec)) {
-        std::lock_guard<std::mutex> lock(m_);
-        ++counters_.misses;
+    if (!fs::exists(path, ec))
         return std::nullopt;
-    }
     Config row;
     std::string reason;
     if (!verifyAndParse(path, key, row, reason)) {
         quarantine(path, reason);
-        std::lock_guard<std::mutex> lock(m_);
-        ++counters_.misses;
         return std::nullopt;
     }
-    std::lock_guard<std::mutex> lock(m_);
-    if (row.getString(kStatusKey, "") == kStatusOk)
-        ++counters_.hits;
-    else
-        ++counters_.failed_rows;
     return row;
 }
 
@@ -272,7 +241,7 @@ ResultStore::save(const std::string &key, const Config &row)
     std::string text = std::string(kMagic) + "\n";
     text += "key " + std::to_string(key.size()) + "\n";
     text += "row " + std::to_string(serialized.size()) + "\n";
-    text += "sum " + checksumHex(fnv1a(kFnvBasis, key + serialized)) + "\n";
+    text += "sum " + hex16(fnv1a64(key + serialized)) + "\n";
     text += key;
     text += serialized;
 

@@ -119,11 +119,10 @@ class ResultStore
      *  quarantined when load() actually needs them. */
     std::size_t okRowCount() const;
 
+    /** What this store did to its files; the Runner counts the points
+     *  it served from rows and the points that failed. */
     struct Counters
     {
-        std::size_t hits = 0;          ///< ok rows served
-        std::size_t failed_rows = 0;   ///< failure rows seen by load()
-        std::size_t misses = 0;        ///< no (usable) row
         std::size_t quarantined = 0;   ///< rows moved aside by load()
         std::size_t saved = 0;         ///< successful save() renames
     };

@@ -7,20 +7,6 @@
 namespace tlpsim::tracefile
 {
 
-namespace
-{
-
-std::string
-hex64(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-} // namespace
-
 FileTraceSource::FileTraceSource(const std::string &path,
                                  std::size_t chunk_records)
     : info_(readInfo(path))
@@ -80,8 +66,8 @@ FileTraceSource::read(TraceInstr *out, std::size_t n)
                 + std::to_string(info_.payload_offset) + ", "
                 + std::to_string(info_.payload_offset
                                  + info_.record_count * kRecordSize)
-                + "): computed " + hex64(sum_.value())
-                + ", footer declares " + hex64(info_.checksum));
+                + "): computed " + hex16(sum_.value())
+                + ", footer declares " + hex16(info_.checksum));
         }
         first_pass_ = false;
         pass_pos_ = 0;

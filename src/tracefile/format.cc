@@ -45,15 +45,6 @@ getU64(const unsigned char *p)
     return v;
 }
 
-std::string
-hex64(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
 [[noreturn]] void
 fileError(const std::string &path, const std::string &what)
 {
@@ -99,7 +90,7 @@ decodeRecord(const unsigned char in[kRecordSize])
 std::string
 TraceFileInfo::identity() const
 {
-    return "tracefile:v" + std::to_string(version) + ":" + hex64(checksum)
+    return "tracefile:v" + std::to_string(version) + ":" + hex16(checksum)
         + "x" + std::to_string(record_count);
 }
 
@@ -250,9 +241,9 @@ verifyFile(const std::string &path)
                   "checksum mismatch over records ["
                       + std::to_string(info.payload_offset) + ", "
                       + std::to_string(at) + "): computed "
-                      + hex64(sum.value()) + ", footer at byte "
+                      + hex16(sum.value()) + ", footer at byte "
                       + std::to_string(info.file_size - kFooterSize)
-                      + " declares " + hex64(info.checksum));
+                      + " declares " + hex16(info.checksum));
     }
     return info;
 }

@@ -48,6 +48,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hh"
 #include "trace/trace.hh"
 
 namespace tlpsim::tracefile
@@ -61,27 +62,6 @@ inline constexpr std::size_t kFixedHeaderSize = 36;  ///< up to name bytes
 inline constexpr std::size_t kFooterSize = 24;
 /** Suggested file extension (not enforced anywhere). */
 inline constexpr const char *kExtension = ".tlt";
-
-/** Incremental FNV-1a 64-bit — the footer checksum and the content
- *  identity that feeds the design-point fingerprint. */
-class Fnv1a64
-{
-  public:
-    void
-    update(const void *data, std::size_t n)
-    {
-        auto p = static_cast<const unsigned char *>(data);
-        std::uint64_t h = h_;
-        for (std::size_t i = 0; i < n; ++i)
-            h = (h ^ p[i]) * 0x100000001b3ull;
-        h_ = h;
-    }
-
-    std::uint64_t value() const { return h_; }
-
-  private:
-    std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
 
 /** Encode one record as its 32-byte little-endian on-disk image. */
 void encodeRecord(const TraceInstr &i, unsigned char out[kRecordSize]);

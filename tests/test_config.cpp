@@ -226,9 +226,9 @@ TEST(SchemeConfig, SwappedSlotDropsPresetKnobs)
               tsp);
 }
 
-// Config layers (files < TLPSIM_CONF < --set): a layer that names another
-// component for a slot drops the lower layers' knobs for it, so a preset
-// file or a --print-config dump stays editable.
+// Config layers (files < --set): a layer that names another component
+// for a slot drops the lower layers' knobs for it, so a preset file or a
+// --print-config dump stays editable.
 TEST(SystemConfig, LayerSwappingAComponentDropsItsKnobs)
 {
     Config merged = Config::parseFile(TLPSIM_CONFIGS_DIR "/tsp.conf");

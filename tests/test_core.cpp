@@ -45,6 +45,7 @@ struct CoreRig
         ports.dram = dram;
         ports.offchip = offchip;
         core = std::make_unique<Core>(cp, ports, &stats);
+        l1d.addSender(core.get());
     }
 
     /** Run until @p instrs retire; returns cycles taken. */
@@ -386,6 +387,44 @@ TEST(Core, LoadBlockedOnItsWalkIsTranslatedOnce)
     EXPECT_EQ(rig.stats.get("cpu0.page_walks"), 1u);
     ASSERT_EQ(rig.walk.reads.size(), 1u);
     EXPECT_EQ(rig.walk.reads[0].birth, kRefused + 9);
+}
+
+TEST(Core, RefusedStoreWaitsForTheL1dWake)
+{
+    // A store at the ROB head that the L1D refuses is offered once: the
+    // load responses that keep ticking the core behind it do not retry
+    // it. The L1D's wake, once it has room, does.
+    const Addr a = Addr{1} << 32;
+    Trace t = makeTrace([a](auto &rec) {
+        rec.store(0x400000, a);
+        for (Addr i = 1; i <= 16; ++i)
+            rec.load(0x400004, a + i * kBlockSize);
+        while (!rec.full())
+            rec.alu(0x400008);
+    });
+    CoreRig rig(t);
+    rig.l1d.reject_writes = true;
+
+    constexpr Cycle kRefused = 200;
+    auto run = [&rig](Cycle from, Cycle to) {
+        for (Cycle c = from; c < to; ++c) {
+            rig.core->tickIfDue(c);
+            rig.l1d.tick(c);
+            rig.walk.tick(c);
+        }
+    };
+    run(0, kRefused);
+    EXPECT_EQ(rig.l1d.refused_writes, 1u);
+    EXPECT_EQ(rig.l1d.reads.size(), 16u);   // the loads behind it returned
+    EXPECT_TRUE(rig.l1d.writes.empty());
+    EXPECT_EQ(rig.core->retired(), 0u);
+
+    rig.l1d.freeRoom(kRefused - 1);
+    run(kRefused, kRefused + 5);
+    EXPECT_EQ(rig.l1d.refused_writes, 1u);
+    ASSERT_EQ(rig.l1d.writes.size(), 1u);
+    EXPECT_EQ(rig.l1d.writes[0].birth, kRefused);
+    EXPECT_GT(rig.core->retired(), 0u);
 }
 
 TEST(Core, RetiredMonotonicAndExact)

@@ -10,8 +10,10 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 
 #include "sim/runner.hh"
+#include "tracefile/format.hh"
 #include "workloads/workload.hh"
 
 using namespace tlpsim;
@@ -45,7 +47,8 @@ TEST(Runner, MemoizesByKey)
     EXPECT_TRUE(r.submit("k", fn));
     EXPECT_FALSE(r.submit("k", fn));   // duplicate submit is a no-op
     const SimResult &a = r.get("k");
-    const SimResult &b = r.run("k", fn);
+    EXPECT_FALSE(r.submit("k", fn));   // a done key is not resubmitted
+    const SimResult &b = r.get("k");
     EXPECT_EQ(&a, &b);                 // same cached object
     EXPECT_EQ(calls.load(), 1);
 }
@@ -57,8 +60,7 @@ TEST(Runner, InlineExecutionWithoutWorkers)
     EXPECT_EQ(r.jobs(), 1u);
     r.submit("a", [] { return SimResult{}; });
     r.get("a");
-    EXPECT_EQ(r.completed(), 1u);
-    EXPECT_EQ(r.submitted(), 1u);
+    EXPECT_EQ(r.simulatedCount(), 1u);
 }
 
 TEST(Runner, PropagatesJobExceptions)
@@ -126,6 +128,40 @@ TEST(Runner, ConfigKeyDistinguishesDesignPoints)
     EXPECT_NE(configKey(a), configKey(b));
     EXPECT_NE(configKey(a), configKey(c));
     EXPECT_EQ(configKey(a), configKey(tinyConfig()));
+}
+
+/**
+ * The CLI runs a single-core point as its one-workload mix, so the two
+ * must be the same point: one key (hence one store row and one shard),
+ * the workload's name as the mix's, and the same simulation. Checked for
+ * an in-binary kernel and for a file trace, which keys by content.
+ */
+TEST(Runner, OneWorkloadMixIsItsSingleCorePoint)
+{
+    auto ws = workloads::singleCoreWorkloads(workloads::SetSize::Tiny);
+    const SystemConfig cfg = tinyConfig(SchemeConfig::fromName("tlp"));
+    const std::string path = (std::filesystem::path(::testing::TempDir())
+                              / "tlpsim_one_workload_mix.tlt")
+                                 .string();
+    tracefile::writeTraceFile(
+        path, cachedTrace(ws[0], cfg.warmup_instrs + cfg.sim_instrs), 1);
+
+    for (const std::string &name : {ws[0].name, "file:" + path}) {
+        const int idx
+            = workloads::resolveWorkloadIndices(ws, {name}, "test").front();
+        const workloads::WorkloadSpec w = ws[static_cast<std::size_t>(idx)];
+        const workloads::Mix mix = workloads::mixFromNames(ws, {name}, "test");
+        EXPECT_EQ(singlePointKey(w, cfg), mixPointKey(mix, cfg)) << name;
+        EXPECT_EQ(mix.name, w.name) << name;
+
+        const SimResult single = runSingleCore(w, cfg);
+        const SimResult mixed = runMix(ws, mix, cfg);
+        EXPECT_EQ(single.stats, mixed.stats) << name;
+        EXPECT_EQ(single.ipc, mixed.ipc) << name;
+        EXPECT_EQ(single.instrs, mixed.instrs) << name;
+        EXPECT_EQ(single.window_cycles, mixed.window_cycles) << name;
+    }
+    std::filesystem::remove(path);
 }
 
 /**

@@ -65,7 +65,7 @@ fnv1a(std::uint64_t h, const Container &v)
 std::uint64_t
 recordImageHash(const Trace &t)
 {
-    tracefile::Fnv1a64 sum;
+    Fnv1a64 sum;
     unsigned char image[tracefile::kRecordSize];
     for (std::size_t i = 0; i < t.size(); ++i) {
         tracefile::encodeRecord(t.at(i), image);

@@ -45,6 +45,7 @@ class MockBackend : public MemoryBackend
     sendWrite(const Packet &pkt) override
     {
         if (reject_writes) {
+            ++refused_writes;
             noteRefusal();
             return false;
         }
@@ -100,6 +101,7 @@ class MockBackend : public MemoryBackend
     bool reject_reads = false;
     bool reject_writes = false;
     bool reject_prefetches = false;
+    std::size_t refused_writes = 0;   ///< sendWrite calls refused
 
   private:
     Cycle latency_;

@@ -10,8 +10,7 @@ figures depend on but that generic lint (clang-tidy, -Werror) cannot:
   layering     the module include graph is the declared DAG
                (common <- {mem,trace,tlb,prefetch,cache,offchip,filter,
                tracefile,workloads,core} <- sim <- cli, with store a
-               leaf both sim and cli may use), and every header under
-               src/ compiles standalone.
+               leaf both sim and cli may use).
   schema       every field of a registered component's Params struct
                is bound by an entry of its ParamSchema, so it can be
                swept and shows in --knobs (the binding itself fixes
@@ -35,9 +34,7 @@ Of hotpath's findings only container growth can be waived.
 
 The suite is dependency-free Python over the compilation database: it
 runs in minimal containers (the dev image has neither libclang nor the
-clang python bindings), and the self-contained-header check invokes the
-same compiler the compilation database records, so its verdicts track
-the real build.
+clang python bindings).
 
 Run it:
 

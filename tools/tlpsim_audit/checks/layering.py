@@ -1,8 +1,8 @@
-"""layering — enforce the module include DAG + self-contained headers.
+"""layering — enforce the module include DAG.
 
 A future sharded simulator gets carved along module boundaries, which
-only works while the boundaries are real. The first half of this
-checker enforces the declared DAG over `#include "module/..."` edges:
+only works while the boundaries are real. This checker enforces the
+declared DAG over `#include "module/..."` edges:
 
     common <- {mem, trace, tlb, store}
            <- {prefetch, tracefile}
@@ -17,15 +17,12 @@ Upward or sideways includes and modules absent from the DAG are
 findings; the declared DAG itself is verified acyclic on every run, so
 nobody can "fix" a finding by declaring a cycle.
 
-The second half compiles every .hh under src/ standalone
-(`<compiler> -fsyntax-only -x c++ header.hh` with the database's -std
-and -I flags): a header that leans on its includer's includes breaks
-refactors exactly when a module is moved across the DAG.
+That every header compiles on its own is the build's check, not this
+one's: CMakeLists.txt compiles one generated translation unit per
+header (target tlpsim_header_check).
 """
 
 import re
-import subprocess
-from concurrent.futures import ThreadPoolExecutor
 
 from ..findings import Finding, Report
 
@@ -116,49 +113,8 @@ def _check_includes(files, report):
                     f"deliberately in layering.ALLOWED"))
 
 
-FIRST_ERROR_RE = re.compile(r"^(.*?):(\d+):(?:\d+:)?\s*(?:fatal )?error:"
-                            r"\s*(.*)$", re.M)
-
-
-def _compile_header(project, header):
-    cmd = [project.compiler]
-    if project.std_flag:
-        cmd.append(project.std_flag)
-    for inc in project.include_dirs:
-        cmd += ["-I", str(inc)]
-    cmd += ["-fsyntax-only", "-x", "c++", str(header)]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    if proc.returncode == 0:
-        return None
-    rel = project.rel(header)
-    m = FIRST_ERROR_RE.search(proc.stderr)
-    line = 1
-    detail = proc.stderr.strip().splitlines()[:1]
-    detail = detail[0] if detail else "compiler error"
-    if m:
-        detail = m.group(3)
-        # Anchor to the header's own line when the error is in it.
-        if project.rel(m.group(1)) == rel:
-            line = int(m.group(2))
-    return Finding(
-        CHECK, rel, line,
-        f"header is not self-contained "
-        f"({project.compiler} -fsyntax-only): {detail}")
-
-
-def _check_headers(project, files, report):
-    headers = [project.root / rel for rel in sorted(files)
-               if rel.endswith(".hh")]
-    with ThreadPoolExecutor() as pool:
-        for finding in pool.map(
-                lambda h: _compile_header(project, h), headers):
-            if finding:
-                report.add(finding)
-
-
 def run(project, files):
     _assert_acyclic()
     report = Report()
     _check_includes(files, report)
-    _check_headers(project, files, report)
     return report

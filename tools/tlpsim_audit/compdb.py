@@ -1,12 +1,10 @@
 """Compilation-database access and project layout.
 
 The compilation database (CMAKE_EXPORT_COMPILE_COMMANDS) is the ground
-truth for three things the checkers need:
+truth for two things the checkers need:
 
   * which translation units the build actually compiles (a dead file
     should neither hide a violation nor invent one),
-  * the compiler and flags (-std, -I) the self-contained-header check
-    must replay so its verdicts track the real build,
   * the repo root, derived from the source paths, so findings render
     root-relative and fixtures can live anywhere.
 
@@ -16,7 +14,6 @@ simulation code.
 """
 
 import json
-import shlex
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,17 +21,12 @@ from pathlib import Path
 @dataclass
 class CompileCommand:
     file: Path          # absolute, resolved
-    directory: Path
-    args: list          # argv, compiler first
 
 
 @dataclass
 class Project:
     root: Path          # directory containing src/
     commands: list      # CompileCommands under root/src
-    compiler: str       # from the first src entry
-    std_flag: str       # e.g. -std=gnu++20 (or "" when unspecified)
-    include_dirs: list  # absolute -I paths
 
     def src_dir(self):
         return self.root / "src"
@@ -55,12 +47,6 @@ class Project:
         for suffix in suffixes:
             out.extend(self.src_dir().rglob(f"*{suffix}"))
         return sorted(set(out))
-
-
-def _parse_args(entry):
-    if "arguments" in entry:
-        return list(entry["arguments"])
-    return shlex.split(entry["command"])
 
 
 def load(compdb_path, root=None):
@@ -87,9 +73,7 @@ def load(compdb_path, root=None):
         file = Path(entry["file"])
         if not file.is_absolute():
             file = directory / file
-        commands.append(CompileCommand(file=file.resolve(),
-                                       directory=directory,
-                                       args=_parse_args(entry)))
+        commands.append(CompileCommand(file=file.resolve()))
 
     if root is None:
         for cmd in commands:
@@ -112,30 +96,7 @@ def load(compdb_path, root=None):
         raise SystemExit(
             f"tlpsim-audit: no translation units under {root / 'src'} "
             f"in {compdb_path}")
-
-    ref = src_commands[0]
-    compiler = ref.args[0]
-    std_flag = next((a for a in ref.args if a.startswith("-std=")), "")
-    include_dirs = []
-    args = ref.args
-    for i, a in enumerate(args):
-        if a == "-I" and i + 1 < len(args):
-            include_dirs.append(_absolute(args[i + 1], ref.directory))
-        elif a.startswith("-I") and len(a) > 2:
-            include_dirs.append(_absolute(a[2:], ref.directory))
-        elif a.startswith("-isystem") and i + 1 < len(args) \
-                and a == "-isystem":
-            include_dirs.append(_absolute(args[i + 1], ref.directory))
-    if not include_dirs:
-        include_dirs = [root / "src"]
-
-    return Project(root=root, commands=src_commands, compiler=compiler,
-                   std_flag=std_flag, include_dirs=include_dirs)
-
-
-def _absolute(path, directory):
-    p = Path(path)
-    return (p if p.is_absolute() else directory / p).resolve()
+    return Project(root=root, commands=src_commands)
 
 
 def _is_under(path, parent):
