@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
-
 #include "common/bitops.hh"
 #include "mem/dram.hh"
 
@@ -29,56 +25,16 @@ levelIndex(MemLevel l)
     }
 }
 
-// Tag-scan kernel: way of the first tags_[w] == tag, or -1. The scalar
-// and AVX2 bodies return the same way (movemask+ctz picks the lowest
-// match, matching the scalar loop's first-hit order), so dispatch is
-// invisible to the simulation. kNoTag never equals a block number, so
-// invalid ways can never match.
+/** Way of the first tags[w] == tag, or -1. kNoTag never equals a block
+ *  number, so invalid ways never match. */
 inline int
-findWayScalar(const Addr *tags, unsigned ways, Addr tag)
+findWay(const Addr *tags, unsigned ways, Addr tag)
 {
     for (unsigned w = 0; w < ways; ++w) {
         if (tags[w] == tag)
             return static_cast<int>(w);
     }
     return -1;
-}
-
-#if defined(__x86_64__)
-__attribute__((target("avx2"))) int
-findWayAvx2(const Addr *tags, unsigned ways, Addr tag)
-{
-    static_assert(sizeof(Addr) == 8, "tag scan assumes 64-bit tags");
-    const __m256i vtag = _mm256_set1_epi64x(static_cast<long long>(tag));
-    for (unsigned w = 0; w < ways; w += 4) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(tags + w));
-        const int m = _mm256_movemask_pd(
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(v, vtag)));
-        if (m != 0)
-            return static_cast<int>(w) + __builtin_ctz(static_cast<unsigned>(m));
-    }
-    return -1;
-}
-
-bool
-cpuHasAvx2()
-{
-    static const bool has = __builtin_cpu_supports("avx2");
-    return has;
-}
-#endif
-
-/** Associativity-dispatched scan (AVX2 when the host has it and the
- *  set's tag run is a whole number of 4-lane vectors). */
-inline int
-findWay(const Addr *tags, unsigned ways, Addr tag)
-{
-#if defined(__x86_64__)
-    if ((ways & 3u) == 0 && cpuHasAvx2())
-        return findWayAvx2(tags, ways, tag);
-#endif
-    return findWayScalar(tags, ways, tag);
 }
 
 } // namespace

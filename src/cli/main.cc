@@ -734,6 +734,10 @@ run(const Options &o)
             workloads::Mix mix;
             const auto &w = all_workloads[static_cast<std::size_t>(idx)];
             mix.name = "homo." + w.name;
+            // A file keys by its content identity, as in mixFromNames,
+            // not by the workload name stored in it.
+            if (w.isFile())
+                mix.point_name = "homo." + w.pointName();
             mix.suite = w.suite;
             mix.homogeneous = true;
             mix.workload_index.assign(base.num_cores, idx);

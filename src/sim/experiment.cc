@@ -243,17 +243,17 @@ void
 TablePrinter::printHeader(const std::string &title) const
 {
     std::printf("\n=== %s ===\n", title.c_str());
-    for (const auto &c : columns_)
-        std::printf("%-*s", col_width_, c.c_str());
-    std::printf("\n");
+    printRow(columns_);
     printSeparator();
 }
 
 void
 TablePrinter::printRow(const std::vector<std::string> &cells) const
 {
+    // The last of a cell's columns is always a space.
+    const int text_width = static_cast<int>(col_width_) - 1;
     for (const auto &c : cells)
-        std::printf("%-*s", col_width_, c.c_str());
+        std::printf("%-*s ", text_width, c.c_str());
     std::printf("\n");
 }
 

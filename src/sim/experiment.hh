@@ -91,7 +91,9 @@ double weightedSpeedupPct(const SimResult &scheme_result,
                           const SimResult &baseline_result,
                           const std::vector<double> &ipc_single);
 
-/** Fixed-width text table used by every bench binary. */
+/** Fixed-width text table used by every bench binary. A cell takes
+ *  col_width columns, a separating space included; a longer one pushes
+ *  the rest of its row right instead of fusing with the next cell. */
 class TablePrinter
 {
   public:

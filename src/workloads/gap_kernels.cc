@@ -5,6 +5,7 @@
 
 #include "common/bitops.hh"
 #include "common/rng.hh"
+#include "common/zero_pages.hh"
 
 namespace tlpsim::workloads
 {
@@ -240,6 +241,10 @@ recordCc(const Graph &g, TraceRecorder &rec, std::uint64_t seed)
     return res;
 }
 
+// The same false positive as recordBfs's, on `order`.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wfree-nonheap-object"
+
 BcResult
 recordBc(const Graph &g, TraceRecorder &rec, std::uint64_t seed)
 {
@@ -256,13 +261,16 @@ recordBc(const Graph &g, TraceRecorder &rec, std::uint64_t seed)
     VArray v_delta = rec.allocArray(n, 4);
     VArray v_order = rec.allocArray(n, 4);
 
-    std::vector<std::uint32_t> depth(n, kInfDist);
-    std::vector<double> sigma(n, 0.0);
-    std::vector<float> delta(n, 0.0f);
+    // Per-vertex state in zero pages: a short recording touches a few of
+    // them. level is depth + 1, so an untouched 0 is kInfDist + 1 and the
+    // depth comparisons below read the same on levels.
+    ZeroPages<std::uint32_t> level(n);
+    ZeroPages<double> sigma(n);
+    ZeroPages<float> delta(n);
     std::vector<Vertex> order;
     order.reserve(n);
 
-    depth[res.source] = 0;
+    level[res.source] = 1;
     sigma[res.source] = 1.0;
     order.push_back(res.source);
     rec.store(pc + 0x00, v_order.at(0));
@@ -279,15 +287,15 @@ recordBc(const Graph &g, TraceRecorder &rec, std::uint64_t seed)
             Vertex v = g.neighbors[e];
             RegId rv = rec.load(pc + 0x10, csr.nbr.at(e), rbeg);
             RegId rd = rec.load(pc + 0x14, v_depth.at(v), rv);
-            bool first_visit = depth[v] == kInfDist;
+            bool first_visit = level[v] == 0;
             rec.branch(pc + 0x18, first_visit, rd);
             if (first_visit) {
-                depth[v] = depth[u] + 1;
+                level[v] = level[u] + 1;
                 rec.store(pc + 0x1c, v_depth.at(v), rv);
                 order.push_back(v);
                 rec.store(pc + 0x20, v_order.at(order.size() - 1), rv);
             }
-            if (depth[v] == depth[u] + 1) {
+            if (level[v] == level[u] + 1) {
                 sigma[v] += sigma[u];
                 RegId rsv = rec.load(pc + 0x24, v_sigma.at(v), rv);
                 RegId rsum = rec.alu(pc + 0x28, rsv, rsu);
@@ -309,7 +317,7 @@ recordBc(const Graph &g, TraceRecorder &rec, std::uint64_t seed)
             Vertex v = g.neighbors[e];
             RegId rv = rec.load(pc + 0x40, csr.nbr.at(e), rbeg);
             RegId rd = rec.load(pc + 0x44, v_depth.at(v), rv);
-            bool predecessor = depth[v] + 1 == depth[w];
+            bool predecessor = level[v] + 1 == level[w];
             rec.branch(pc + 0x48, predecessor, rd);
             if (predecessor && sigma[w] > 0.0) {
                 RegId rsv = rec.load(pc + 0x4c, v_sigma.at(v), rv);
@@ -326,6 +334,8 @@ recordBc(const Graph &g, TraceRecorder &rec, std::uint64_t seed)
     }
     return res;
 }
+
+#pragma GCC diagnostic pop
 
 TcResult
 recordTc(const Graph &g, TraceRecorder &rec, std::uint64_t seed)

@@ -10,8 +10,10 @@
 #include <tuple>
 #include <utility>
 
+#include "common/config.hh"
 #include "common/once_cache.hh"
 #include "common/rng.hh"
+#include "common/zero_pages.hh"
 
 namespace tlpsim::workloads
 {
@@ -69,16 +71,33 @@ struct Edge
     Vertex v;
 };
 
-/** A generated edge list, in generation order. Self-loops may be left
- *  in; buildCsr drops them. */
+/** Most edges an edge list holds: their directed entries, two per
+ *  edge, must fit Graph's 32-bit offsets. */
+constexpr std::uint64_t kMaxEdges = (std::uint64_t{1} << 31) - 1;
+
+/** A generated edge list, in generation order, in zero pages that
+ *  buildCsr returns to the OS as it consumes them. Self-loops may be
+ *  left in; buildCsr drops them. */
 struct EdgeList
 {
     explicit EdgeList(std::uint64_t capacity)
-        : buf(std::make_unique_for_overwrite<Edge[]>(capacity)),
-          size(capacity)
+        : buf(checkedCapacity(capacity)), size(capacity)
     {}
 
-    std::unique_ptr<Edge[]> buf;
+    static std::uint64_t
+    checkedCapacity(std::uint64_t capacity)
+    {
+        if (capacity > kMaxEdges) {
+            throw ConfigError(
+                "graph too large: " + std::to_string(capacity)
+                + " edges could pass the 2^32 - 1 directed entries that "
+                  "32-bit CSR offsets index (at most 2^31 - 1 edges); "
+                  "lower the scale or degree");
+        }
+        return capacity;
+    }
+
+    ZeroPages<Edge> buf;
     std::uint64_t size;
 };
 
@@ -251,8 +270,9 @@ roadSide(Vertex n)
 EdgeList
 genRoad(Rng &rng, Vertex side)
 {
-    Vertex n = side * side;
-    EdgeList edges(static_cast<std::uint64_t>(n) * 2 + n / 16);
+    const std::uint64_t cells = std::uint64_t{side} * side;
+    EdgeList edges(cells * 2 + cells / 16);
+    const auto n = static_cast<Vertex>(cells);
     std::uint64_t kept = 0;
     for (Vertex y = 0; y < side; ++y) {
         for (Vertex x = 0; x < side; ++x) {
@@ -289,8 +309,10 @@ constexpr unsigned kMaxBucketBits = 11;
  *     endpoint's index in its bucket above the other end's id, at its
  *     cursor in the bucket's span. The cursors start at a bucket-major,
  *     chunk-minor prefix sum of the counts, so each span holds its
- *     entries in edge order. The edge list is freed after this pass,
- *     before the offsets are allocated;
+ *     entries in edge order. Each chunk then returns its edge-list
+ *     pages to the OS. The spans fill in chunk order, so neighbour
+ *     pages become resident as fast as edge-list pages are freed, and
+ *     the whole list is gone before the offsets are allocated;
  *  3. each bucket copies its span to the worker's scratch, counts its
  *     vertices' degrees, writes their offsets and scatters the other
  *     ends back in span order.
@@ -316,11 +338,13 @@ buildCsr(Vertex n, EdgeList edges)
     auto indexInBucket = [&](Vertex entry) {
         return static_cast<std::size_t>(std::uint64_t{entry} >> id_bits);
     };
+    auto chunkBegin = [&](std::size_t c) {
+        return static_cast<std::size_t>(edges.size * c / kEdgeChunks);
+    };
     auto forEachEdge = [&](std::size_t c, const auto &fn) {
-        const Edge *const end
-            = edges.buf.get() + edges.size * (c + 1) / kEdgeChunks;
-        for (const Edge *e = edges.buf.get() + edges.size * c / kEdgeChunks;
-             e != end; ++e) {
+        const Edge *const end = edges.buf.data() + chunkBegin(c + 1);
+        for (const Edge *e = edges.buf.data() + chunkBegin(c); e != end;
+             ++e) {
             if (e->u != e->v)
                 fn(*e);
         }
@@ -356,11 +380,12 @@ buildCsr(Vertex n, EdgeList edges)
             out[at[e.u >> bucket_bits]++] = stage(e.u, e.v);
             out[at[e.v >> bucket_bits]++] = stage(e.v, e.u);
         });
+        edges.buf.release(chunkBegin(c), chunkBegin(c + 1));
     });
-    edges.buf.reset();
+    edges.buf = {};
 
     g.offsets.resize(std::size_t{n} + 1);
-    g.offsets[n] = total;
+    g.offsets[n] = static_cast<std::uint32_t>(total);
     const std::size_t workers = workersFor(buckets);
     const auto scratch
         = std::make_unique_for_overwrite<Vertex[]>(workers * largest);
@@ -380,7 +405,7 @@ buildCsr(Vertex n, EdgeList edges)
             ++next[indexInBucket(staged[i])];
         std::uint64_t at = begin;
         for (std::size_t i = 0; i < vertices; ++i) {
-            g.offsets[base + i] = at;
+            g.offsets[base + i] = static_cast<std::uint32_t>(at);
             at += std::exchange(next[i], at);
         }
         for (std::uint64_t i = 0; i < size; ++i)
@@ -411,9 +436,12 @@ makeGraph(GraphKind kind, unsigned scale, unsigned avg_degree,
         return buildCsr(n, genWeb(rng, n, std::max(1u, avg_degree / 2)));
       case GraphKind::Urand:
         return buildCsr(n, genUrand(rng, n, num_edges));
-      case GraphKind::Road:
-        n = roadSide(n) * roadSide(n);   // grid must be square
-        return buildCsr(n, genRoad(rng, roadSide(n)));
+      case GraphKind::Road: {
+        // The grid must be square. Past 2^32 cells side * side wraps,
+        // but genRoad, which sizes its edges in 64 bits, throws first.
+        const Vertex side = roadSide(n);
+        return buildCsr(side * side, genRoad(rng, side));
+      }
     }
     return {};
 }

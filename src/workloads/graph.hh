@@ -57,7 +57,9 @@ struct DefaultInitAllocator : std::allocator<T>
 /** Compressed-sparse-row graph (undirected: both edge directions stored). */
 struct Graph
 {
-    std::vector<std::uint64_t> offsets;   ///< size = numVertices() + 1
+    /** size = numVertices() + 1. 32 bits, so a graph holds at most
+     *  2^32 - 1 directed entries; begin(), end() and degree() widen. */
+    std::vector<std::uint32_t> offsets;
     /** size = numEdges(); makeGraph writes every element exactly once. */
     std::vector<Vertex, DefaultInitAllocator<Vertex>> neighbors;
 
@@ -107,7 +109,10 @@ const char *toString(GraphKind k);
  * serially. The CSR build is a stable counting sort by endpoint: the
  * same fixed chunks of edges stage every directed entry in its bucket of
  * consecutive vertices, in edge order, and each bucket is then sorted by
- * vertex on its own, so each adjacency list keeps edge order.
+ * vertex on its own, so each adjacency list keeps edge order. Throws
+ * ConfigError, before drawing an edge, if the graph could pass the
+ * 2^32 - 1 directed entries its offsets index: if its generator would
+ * draw more than 2^31 - 1 edges.
  */
 Graph makeGraph(GraphKind kind, unsigned scale, unsigned avg_degree,
                 std::uint64_t seed);

@@ -682,6 +682,21 @@ TEST(Experiment, WeightedSpeedupIsAnyWidthButRejectsMismatch)
                  ConfigError);
 }
 
+TEST(Experiment, TableCellsNeverFuse)
+{
+    // Cells that fit pad to the column width; one that fills it or runs
+    // past it is still followed by a space.
+    TablePrinter tp({"mix", "suite"}, 8);
+    testing::internal::CaptureStdout();
+    tp.printRow({"homo.bfs", "GAP"});
+    tp.printRow({"homo.lbm_stencil", "SPEC"});
+    tp.printRow({"mcf", "SPEC"});
+    EXPECT_EQ(testing::internal::GetCapturedStdout(),
+              "homo.bfs GAP     \n"
+              "homo.lbm_stencil SPEC    \n"
+              "mcf     SPEC    \n");
+}
+
 TEST(Experiment, TraceCacheReturnsSameObject)
 {
     auto specs = workloads::singleCoreWorkloads(workloads::SetSize::Tiny);

@@ -46,13 +46,15 @@ tinyGraph(GraphKind kind = GraphKind::Kron)
     return makeGraph(kind, 8, 6, 123);   // 256 vertices
 }
 
-/** FNV-1a over the little-endian bytes of every element of @p v. */
+/** FNV-1a over the little-endian bytes of every element of @p v, each
+ *  widened to @p width bytes (default: its own size). */
 template <typename Container>
 std::uint64_t
-fnv1a(std::uint64_t h, const Container &v)
+fnv1a(std::uint64_t h, const Container &v,
+      unsigned width = sizeof(typename Container::value_type))
 {
     for (const auto x : v) {
-        for (unsigned byte = 0; byte < sizeof x; ++byte) {
+        for (unsigned byte = 0; byte < width; ++byte) {
             h ^= (static_cast<std::uint64_t>(x) >> (8 * byte)) & 0xff;
             h *= 0x100000001b3ULL;
         }
@@ -266,8 +268,9 @@ TEST_P(GraphKindTest, MatchesPinnedOutput)
     for (std::size_t i = 0; i < pinned.size(); ++i) {
         const auto [scale, degree] = points[i];
         Graph g = makeGraph(GetParam(), scale, degree, 42);
-        std::uint64_t hash = fnv1a(fnv1a(0xcbf29ce484222325ULL, g.offsets),
-                                   g.neighbors);
+        // Offsets hash as 64-bit values, the width they were pinned at.
+        std::uint64_t hash
+            = fnv1a(fnv1a(0xcbf29ce484222325ULL, g.offsets, 8), g.neighbors);
         EXPECT_EQ(hash, pinned[i])
             << "scale " << scale << ", degree " << degree << std::hex
             << ": 0x" << hash;
@@ -286,6 +289,16 @@ TEST(Graph, PowerLawSkew)
     Graph kron = makeGraph(GraphKind::Kron, 12, 8, 42);
     Graph urand = makeGraph(GraphKind::Urand, 12, 8, 42);
     EXPECT_GT(kron.maxDegree(), urand.maxDegree() * 4);
+}
+
+TEST(Graph, RejectsMoreEntriesThanOffsetsIndex)
+{
+    // 2^31 vertices of degree 4 draw 2^32 edges, 2^33 directed entries:
+    // refused before any edge is drawn.
+    EXPECT_THROW(makeGraph(GraphKind::Urand, 31, 4, 42), ConfigError);
+    // Scale 31 is a 2^16-square grid: 2^32 cells, whose count wraps to
+    // zero in a Vertex, and about 2^33 edges.
+    EXPECT_THROW(makeGraph(GraphKind::Road, 31, 8, 42), ConfigError);
 }
 
 TEST(Graph, RoadIsLowDegree)
