@@ -9,7 +9,11 @@ Addr
 PageTable::translate(unsigned asid, Addr vaddr)
 {
     const Addr vpn = pageNumber(vaddr);
-    MemoEntry &m = memo_[vpn & (kMemoEntries - 1)];
+    // Hash the asid in with the vpn: the cores of a homogeneous mix touch
+    // the same virtual pages, and indexing by vpn alone made them evict
+    // each other's entries.
+    MemoEntry &m
+        = memo_[mix64(vpn ^ (Addr{asid} << 52)) & (kMemoEntries - 1)];
     if (m.vpn == vpn && m.asid == asid)
         return (m.frame << kPageBits) | (vaddr & kPageMask);
     Key key{asid, vpn};

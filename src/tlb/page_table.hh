@@ -54,11 +54,12 @@ class PageTable
         }
     };
 
-    /** Direct-mapped memo over the map_ lookup. translate() is called
-     *  for every load, walk, and prefetch-candidate translation — most
-     *  hit the same few pages back to back — and the mapping is
-     *  first-touch-permanent, so a memo hit returns exactly what the
-     *  map lookup would. Pure cache: no observable behavior change. */
+    /** Direct-mapped memo over the map_ lookup, indexed by a hash of
+     *  (asid, vpn). translate() is called for every load, walk, and
+     *  prefetch-candidate translation — most hit the same few pages
+     *  back to back — and the mapping is first-touch-permanent, so a
+     *  memo hit returns exactly what the map lookup would. Pure cache:
+     *  no observable behavior change. */
     struct MemoEntry
     {
         Addr vpn = ~Addr{0};

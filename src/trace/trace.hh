@@ -43,7 +43,10 @@ enum class BranchKind : std::uint8_t
 };
 
 /**
- * One retired instruction. Exactly 32 bytes so large traces stay cheap.
+ * One retired instruction, as the core consumes it: the record a
+ * TraceSource streams and a .tlt file stores, exactly 32 bytes. An
+ * in-memory Trace holds records packed to 16 bytes and decodes them
+ * into this form.
  */
 struct TraceInstr
 {
@@ -66,6 +69,16 @@ static_assert(sizeof(TraceInstr) == 32, "trace record must stay compact");
 
 /**
  * An in-memory instruction trace plus identifying metadata.
+ *
+ * Records are stored packed, 16 bytes each, half a TraceInstr: the one
+ * load or store address, a 32-bit PC, the three register ids, and a
+ * flags byte (branch kind, taken, is-store, wide). A record that does
+ * not pack — one with both a load and a store, a PC of 2^32 or more, or
+ * a branch kind outside BranchKind's enumerators — is held whole in a
+ * side table, and its packed slot flags it wide and holds its index
+ * there. So the container is lossless (every field a record was pushed
+ * with decodes back; the padding bytes decode as zero) and at() stays
+ * O(1). Recorded kernels never push a wide record.
  */
 class Trace
 {
@@ -73,13 +86,34 @@ class Trace
     Trace() = default;
     explicit Trace(std::string name) : name_(std::move(name)) {}
 
-    void reserve(std::size_t n) { instrs_.reserve(n); }
-    void push(const TraceInstr &i) { instrs_.push_back(i); }
+    void reserve(std::size_t n) { records_.reserve(n); }
 
-    const TraceInstr &at(std::size_t i) const { return instrs_[i]; }
-    const TraceInstr *data() const { return instrs_.data(); }
-    std::size_t size() const { return instrs_.size(); }
-    bool empty() const { return instrs_.empty(); }
+    /** Append @p i: packed, or whole in the side table if it does not
+     *  pack. */
+    void
+    push(const TraceInstr &i)
+    {
+        const auto kind = static_cast<std::uint8_t>(i.branch);
+        if ((i.ld_vaddr != 0 && i.st_vaddr != 0) || i.ip > kMaxPackedPc
+            || kind > kBranchMask) {
+            pushWide(i);
+            return;
+        }
+        const std::uint8_t flags = kind
+            | (i.taken ? kTaken : 0) | (i.st_vaddr != 0 ? kStore : 0);
+        records_.push_back({i.ld_vaddr | i.st_vaddr,
+                            static_cast<std::uint32_t>(i.ip), i.src0,
+                            i.src1, i.dst, flags});
+    }
+
+    /** Record @p i, decoded. */
+    TraceInstr at(std::size_t i) const;
+
+    /** Decode records [@p first, @p first + @p n) into @p out. */
+    void decode(std::size_t first, std::size_t n, TraceInstr *out) const;
+
+    std::size_t size() const { return records_.size(); }
+    bool empty() const { return records_.empty(); }
 
     const std::string &name() const { return name_; }
     void setName(std::string n) { name_ = std::move(n); }
@@ -99,8 +133,33 @@ class Trace
     Summary summarize() const;
 
   private:
+    /** One packed record. */
+    struct Record
+    {
+        Addr addr;            ///< the load or store address; wide: index
+        std::uint32_t ip;
+        RegId src0;
+        RegId src1;
+        RegId dst;
+        std::uint8_t flags;
+    };
+    static_assert(sizeof(Record) == 16, "packed record must stay 16 bytes");
+
+    static constexpr Addr kMaxPackedPc = 0xffff'ffff;
+    // flags: bits 0-1 hold the branch kind; the rest are single bits.
+    static constexpr std::uint8_t kBranchMask = 0x3;
+    static constexpr std::uint8_t kTaken = 0x4;
+    static constexpr std::uint8_t kStore = 0x8;
+    static constexpr std::uint8_t kWide = 0x10;
+    static_assert(static_cast<std::uint8_t>(BranchKind::Indirect)
+                      <= kBranchMask,
+                  "every branch kind must pack");
+
+    void pushWide(const TraceInstr &i);
+
     std::string name_;
-    std::vector<TraceInstr> instrs_;
+    std::vector<Record> records_;
+    std::vector<TraceInstr> wide_;   ///< records that do not pack
 };
 
 /**

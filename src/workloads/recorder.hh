@@ -64,7 +64,7 @@ class TraceRecorder
     TraceRecorder(Trace &out, const Options &opt)
         : trace_(&out), max_instrs_(opt.max_instrs), brk_(opt.heap_base)
     {
-        // Reserve at most 2^24 records (512 MiB): a kernel may end long
+        // Reserve at most 2^24 records (256 MiB): a kernel may end long
         // before max_instrs, and a longer trace still grows on demand.
         trace_->reserve(std::min<std::uint64_t>(opt.max_instrs,
                                                 std::uint64_t{1} << 24));

@@ -116,3 +116,27 @@ TEST(PeakRss, ShortBcRecordingTouchesFewVertices)
                                << " MiB over " << g.numVertices()
                                << " vertices";
 }
+
+TEST(PeakRss, RecordedTraceHoldsSixteenBytesPerRecord)
+{
+    SKIP_UNDER_ASAN();
+    // A TraceInstr is 32 bytes; an in-memory trace packs a record that
+    // has at most one of a load and a store into 16.
+    constexpr std::uint64_t kRecords = 1'000'000;
+    const double rise = peakRise([] {
+        Trace trace("mix");
+        TraceRecorder::Options opt;
+        opt.max_instrs = kRecords;
+        TraceRecorder rec(trace, opt);
+        constexpr std::uint64_t kElems = 1 << 16;
+        const VArray a = rec.allocArray(kElems, 8);
+        for (std::uint64_t i = 0; !rec.full(); ++i) {
+            const RegId r = rec.load(0x401000, a.at(i % kElems));
+            rec.store(0x401004, a.at(i * 7 % kElems), r);
+            rec.alu(0x401008, r);
+        }
+    });
+    const double per_record = rise / static_cast<double>(kRecords);
+    EXPECT_LT(per_record, 20.0) << "peak rise " << rise / 1048576.0
+                                << " MiB over " << kRecords << " records";
+}

@@ -11,6 +11,8 @@
 #include <array>
 #include <map>
 #include <queue>
+#include <string>
+#include <vector>
 
 #include "common/bitops.hh"
 #include "common/config.hh"
@@ -62,6 +64,23 @@ fnv1a(std::uint64_t h, const Container &v,
     return h;
 }
 
+/** The names of the fields in which @p a and @p b differ, "" if none.
+ *  The padding bytes are not a field. */
+std::string
+fieldDiff(const TraceInstr &a, const TraceInstr &b)
+{
+    std::string d;
+    d += a.ip != b.ip ? " ip" : "";
+    d += a.ld_vaddr != b.ld_vaddr ? " ld_vaddr" : "";
+    d += a.st_vaddr != b.st_vaddr ? " st_vaddr" : "";
+    d += a.src0 != b.src0 ? " src0" : "";
+    d += a.src1 != b.src1 ? " src1" : "";
+    d += a.dst != b.dst ? " dst" : "";
+    d += a.branch != b.branch ? " branch" : "";
+    d += a.taken != b.taken ? " taken" : "";
+    return d;
+}
+
 /** FNV-1a over @p t's on-disk record images, ip included: the payload
  *  checksum a .tlt file of it carries. */
 std::uint64_t
@@ -81,6 +100,75 @@ recordImageHash(const Trace &t)
 TEST(Trace, RecordSize)
 {
     EXPECT_EQ(sizeof(TraceInstr), 32u);
+}
+
+TEST(Trace, PackedRecordsRoundTripEveryField)
+{
+    // Records that pack (load-only, store-only, neither) and records the
+    // trace holds whole (a load and a store, a PC of 2^32, a branch kind
+    // outside the enumerators), under every branch kind and outcome and
+    // register ids 0 and 255 (odd rounds give dst a third value, so a
+    // swap of two register fields shows). Twenty rounds of the 240
+    // cases, with full-width addresses, make a trace longer than a
+    // 4096-record chunk.
+    const Addr pcs[] = {0x401000, 0xffff'ffff, Addr{1} << 32};
+    const BranchKind kinds[] = {BranchKind::NotBranch,
+                                BranchKind::Conditional, BranchKind::Direct,
+                                BranchKind::Indirect,
+                                static_cast<BranchKind>(7)};
+    std::vector<TraceInstr> pushed;
+    for (int round = 0; round < 20; ++round) {
+        for (Addr pc : pcs) {
+            for (unsigned mem = 0; mem < 4; ++mem) {   // bit 0 load, 1 store
+                for (BranchKind kind : kinds) {
+                    for (bool taken : {false, true}) {
+                        for (RegId reg : {RegId{0}, RegId{255}}) {
+                            const Addr n = pushed.size();
+                            TraceInstr in;
+                            in.ip = pc;
+                            in.ld_vaddr = (mem & 1) != 0
+                                ? 0xfedc'ba98'7654'3210ULL ^ (n << 3)
+                                : 0;
+                            in.st_vaddr = (mem & 2) != 0
+                                ? 0x8000'0000'0000'0000ULL | (n << 6)
+                                : 0;
+                            in.src0 = reg;
+                            in.src1 = static_cast<RegId>(255 - reg);
+                            in.dst = static_cast<RegId>(
+                                round % 2 == 0 ? reg : reg ^ 0x5a);
+                            in.branch = kind;
+                            in.taken = taken;
+                            pushed.push_back(in);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    Trace t("fields");
+    for (const TraceInstr &in : pushed)
+        t.push(in);
+    ASSERT_EQ(t.size(), pushed.size());
+    ASSERT_GT(t.size(), TraceReader::kChunkRecords);
+    for (std::size_t i = 0; i < t.size(); ++i)
+        ASSERT_EQ(fieldDiff(t.at(i), pushed[i]), "") << "record " << i;
+
+    // The stream repeats the same records whatever the chunk size.
+    const std::size_t total = t.size() * 5 / 2;
+    for (std::size_t chunk : {1u, 7u, 4096u}) {
+        MemoryTraceSource src(t);
+        std::vector<TraceInstr> buf(chunk);
+        std::size_t got = 0;
+        while (got < total) {
+            const std::size_t n
+                = src.read(buf.data(), std::min(chunk, total - got));
+            ASSERT_GE(n, 1u);
+            for (std::size_t k = 0; k < n; ++k, ++got) {
+                ASSERT_EQ(fieldDiff(buf[k], pushed[got % t.size()]), "")
+                    << "chunk " << chunk << ", record " << got;
+            }
+        }
+    }
 }
 
 TEST(Trace, SummaryCounts)
@@ -640,7 +728,7 @@ TEST(Workloads, BuildTraceRespectsLength)
 TEST(Workloads, BuildTraceOfHugeLengthReturnsWholeKernel)
 {
     // A GAP kernel ends on its own. Asking for far more instructions
-    // (2e9 records would be 64 GB) must return its whole trace, not fail
+    // (2e9 records would be 32 GB) must return its whole trace, not fail
     // to reserve room for the requested length.
     auto ws = singleCoreWorkloads(SetSize::Tiny);
     auto it = std::find_if(ws.begin(), ws.end(), [](const auto &w) {
