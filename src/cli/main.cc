@@ -410,8 +410,8 @@ class JsonlWriter
 /** The canonical per-design-point table every mode prints. Single-core
  *  tables label rows by workload; multi-core ones by mix, in a wider
  *  column, and report the per-core-windowed IPC sum plus the largest
- *  per-core IPC — the plausibility number (bounded by the retire width)
- *  that CI's heterogeneous-mix smoke asserts on. */
+ *  per-core IPC — the plausibility number, bounded by the retire width
+ *  (Simulator.FastSlowMixWindowsArePhysicallyPlausible). */
 TablePrinter
 resultTable(bool multi_core)
 {
@@ -797,9 +797,9 @@ run(const Options &o)
         }
     }
 
-    // The sweep's persistence ledger, on the stable diagnostic prefix CI
-    // greps ("tlpsim: store: ..."). Exit code 3 reports "the grid
-    // completed but some points failed".
+    // The sweep's persistence ledger, on the stable diagnostic prefix the
+    // cli_store test greps ("tlpsim: store: ..."). Exit code 3 reports
+    // "the grid completed but some points failed".
     if (policy.store != nullptr) {
         const auto c = policy.store->counters();
         diag("store",

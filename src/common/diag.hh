@@ -2,7 +2,7 @@
  * @file
  * Shared diagnostic channel for operational events (store quarantines,
  * watchdog timeouts, resume summaries): every line is rendered
- * "tlpsim: <topic>: <message>" on stderr, so CI greps and operators can
+ * "tlpsim: <topic>: <message>" on stderr, so tests and operators can
  * match on a stable prefix instead of ad-hoc fprintf wording scattered
  * across subsystems. Lines are emitted atomically (one mutex-guarded
  * write), so concurrent sweep workers never interleave mid-line.

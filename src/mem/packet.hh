@@ -120,9 +120,12 @@ class WaiterPool
     // tlpsim:endhot
 
   private:
-    /** Initial per-vector capacity (observed maxima are 1-2; growth past
-     *  this is geometric and one-time per vector). */
-    static constexpr std::size_t kReserve = 8;
+    /** Initial per-vector capacity. A line that streams loads while its
+     *  miss is outstanding collects up to 16 waiters (four bc.road cores,
+     *  HotPathAlloc's saturated case). A vector grows past this only
+     *  once, but on its own first such burst, which can come millions of
+     *  cycles after warmup. */
+    static constexpr std::size_t kReserve = 16;
     std::vector<std::vector<Packet>> pool_;
 };
 

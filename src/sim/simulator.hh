@@ -102,7 +102,8 @@ struct SimResult
 
     /** Largest per-core IPC. Physically bounded by the retire width;
      *  the pre-window-semantics degenerate-window bug pushed this to
-     *  ~sim_instrs, which is what the CI smoke guards against. */
+     *  ~sim_instrs. Simulator.FastSlowMixWindowsArePhysicallyPlausible
+     *  guards the bound. */
     double ipcMax() const;
 };
 

@@ -338,6 +338,7 @@ TEST(StoreConcurrency, ConcurrentLoadersDuringWrites)
     constexpr int kKeys = 16;
     std::atomic<bool> stop{false};
     std::atomic<int> bad_rows{0};
+    std::size_t quarantined = 0;
 
     std::thread writer([&] {
         store::ResultStore mine(dir);
@@ -361,8 +362,12 @@ TEST(StoreConcurrency, ConcurrentLoadersDuringWrites)
                 }
             }
         }
+        quarantined = mine.counters().quarantined;
     });
     writer.join();
     loader.join();
     EXPECT_EQ(bad_rows.load(), 0);
+    // A row published before it is whole fails load()'s checks and is
+    // quarantined as a miss, which bad_rows never sees.
+    EXPECT_EQ(quarantined, 0u);
 }

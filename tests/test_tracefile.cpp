@@ -3,15 +3,16 @@
  * bounded-memory streaming replay (including multi-pass wrap), every
  * malformed-file class (bad magic, unsupported version, truncation,
  * checksum and count mismatch) surfacing as a ConfigError that names the
- * file and byte offset, the ChampSim record mapping and converter, and
- * the workload-layer integration — "file:" resolution with content-hash
- * identities and a file-backed simulation bit-identical to the in-binary
- * kernel it was recorded from.
+ * file and byte offset, the ChampSim record mapping and converter (raw,
+ * .xz and .gz inputs), and the workload-layer integration — "file:"
+ * resolution with content-hash identities and a file-backed simulation
+ * bit-identical to the in-binary kernel it was recorded from.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -326,6 +327,38 @@ champsimRecord(const ChampSimFields &f)
     return b;
 }
 
+/** A ChampSim trace compressed by `tool` into a `.suffix` file converts
+ *  through the decompressor the suffix selects. Skips when the host has
+ *  no `tool`. */
+void
+expectCompressedInputConverts(const std::string &tool,
+                              const std::string &suffix)
+{
+    if (std::system(("command -v " + tool + " >/dev/null 2>&1").c_str())
+        != 0) {
+        GTEST_SKIP() << tool << " not found: ." << suffix
+                     << " input is untested on this host";
+    }
+    ChampSimFields load;
+    load.src_mem[0] = 0x10000;
+    std::vector<unsigned char> raw = champsimRecord(load);
+    const auto plain = champsimRecord(ChampSimFields{});
+    raw.insert(raw.end(), plain.begin(), plain.end());
+    const std::string raw_path = scratchPath("packed_" + suffix + ".trace");
+    writeAllBytes(raw_path, raw);
+    const std::string in_path = raw_path + "." + suffix;
+    ASSERT_EQ(std::system((tool + " -c '" + raw_path + "' > '" + in_path + "'")
+                              .c_str()),
+              0);
+
+    const ChampSimConvertStats stats = convertChampSim(
+        in_path, scratchPath("packed_" + suffix + ".tlt"),
+        ChampSimConvertOptions{});
+    EXPECT_EQ(stats.records, 2u);
+    EXPECT_EQ(stats.loads, 1u);
+    EXPECT_EQ(stats.name, "tlpsim_tf_packed_" + suffix);
+}
+
 } // namespace
 
 TEST(ChampSim, MemoryOperandsMapToFirstNonzero)
@@ -467,6 +500,16 @@ TEST(ChampSim, CustomDecompressorStreamsRecords)
     opt.decompress_cmd = "cat --";
     EXPECT_EQ(convertChampSim(in_path, out_path, opt).records, 5u);
     EXPECT_EQ(readInfo(out_path).record_count, 5u);
+}
+
+TEST(ChampSim, XzInputStreamsThroughXz)
+{
+    expectCompressedInputConverts("xz", "xz");
+}
+
+TEST(ChampSim, GzInputStreamsThroughGzip)
+{
+    expectCompressedInputConverts("gzip", "gz");
 }
 
 TEST(ChampSim, KilledDecompressorIsAnErrorNamingTheCommand)

@@ -1,8 +1,8 @@
 """tlpsim-audit — semantic static-analysis suite for tlpsim.
 
-Five repo-specific checkers driven by the exported compilation database
-(build/compile_commands.json), each expressing an invariant the paper's
-figures depend on but that generic lint (clang-tidy, -Werror) cannot:
+Five repo-specific checkers over every .cc/.hh file under src/, each
+expressing an invariant the paper's figures depend on but that generic
+lint (clang-tidy, -Werror) cannot:
 
   determinism  no nondeterminism sources in simulation code: wall-clock
                reads, rand()/random_device, pointer-keyed ordered
@@ -32,13 +32,13 @@ with
 where <reason> is mandatory: a reason-less waiver is itself a finding.
 Of hotpath's findings only container growth can be waived.
 
-The suite is dependency-free Python over the compilation database: it
-runs in minimal containers (the dev image has neither libclang nor the
-clang python bindings).
+The suite is dependency-free Python over the source text: it needs
+neither a configured build tree nor libclang or the clang python
+bindings.
 
-Run it:
+Run it from the repository root:
 
-    python3 -m tools.tlpsim_audit --compdb build/compile_commands.json --werror
+    python3 -m tools.tlpsim_audit --werror
 """
 
 CHECKS = ("determinism", "layering", "schema", "reset", "hotpath")

@@ -1,7 +1,7 @@
-"""CLI driver: load the compilation database, run checkers, report.
+"""CLI driver: load every source file under src/, run checkers, report.
 
-    python3 -m tools.tlpsim_audit [--compdb build/compile_commands.json]
-        [--root DIR] [--checks determinism,layering,schema,reset,hotpath]
+    python3 -m tools.tlpsim_audit [--root DIR]
+        [--checks determinism,layering,schema,reset,hotpath]
         [--werror] [--show-waived] [--list-checks]
 
 Exit status: 0 clean (or findings without --werror — they still
@@ -10,18 +10,22 @@ print), 1 findings under --werror, 2 usage/environment errors.
 
 import argparse
 import sys
+from pathlib import Path
 
-from . import CHECKS, compdb
+from . import CHECKS
 from .checks import CHECKERS
 from .findings import Finding, Report, apply_waivers, render_text
 from .source import SourceFile
 
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
-def load_sources(project):
-    files = {}
-    for path in project.source_files():
-        files[project.rel(path)] = SourceFile(path)
-    return files
+
+def load_sources(root):
+    """{root-relative POSIX path: SourceFile} for every .cc/.hh under
+    root/src, in path order."""
+    paths = sorted(p for suffix in (".cc", ".hh")
+                   for p in (root / "src").rglob(f"*{suffix}"))
+    return {p.relative_to(root).as_posix(): SourceFile(p) for p in paths}
 
 
 def waiver_hygiene(files):
@@ -57,13 +61,9 @@ def main(argv=None):
         description="semantic static analysis for tlpsim "
                     "(determinism, layering, schema-drift, reset, "
                     "hotpath)")
-    parser.add_argument("--compdb",
-                        default="build/compile_commands.json",
-                        help="compilation database "
-                             "(default: %(default)s)")
-    parser.add_argument("--root", default=None,
-                        help="repo root override (default: inferred "
-                             "from the database's src/ paths)")
+    parser.add_argument("--root", type=Path, default=REPO_ROOT,
+                        help="directory holding src/ (default: the "
+                             "repository this tool lives in)")
     parser.add_argument("--checks", default=",".join(CHECKS),
                         help="comma-separated subset of: "
                              + ", ".join(CHECKS))
@@ -86,12 +86,16 @@ def main(argv=None):
               f"(known: {', '.join(CHECKS)})", file=sys.stderr)
         return 2
 
-    project = compdb.load(args.compdb, root=args.root)
-    files = load_sources(project)
+    root = args.root.resolve()
+    if not (root / "src").is_dir():
+        print(f"tlpsim-audit: no src/ directory under {root}",
+              file=sys.stderr)
+        return 2
+    files = load_sources(root)
 
     report = Report()
     for check in selected:
-        report.extend(CHECKERS[check](project, files))
+        report.extend(CHECKERS[check](files))
     report.extend(waiver_hygiene(files))
 
     waivers_by_file = {rel: sf.waivers for rel, sf in files.items()}

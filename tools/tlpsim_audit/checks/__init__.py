@@ -1,8 +1,8 @@
 """Checker registry for tlpsim-audit.
 
-Each of the five checker modules exposes `run(project, files) ->
-Report`, where `files` is {root-relative-path: SourceFile} for every
-.cc/.hh under src/. Adding a check: write the module, add it to
+Each of the five checker modules exposes `run(files) -> Report`, where
+`files` is {root-relative-path: SourceFile} for every .cc/.hh under
+src/. Adding a check: write the module, add it to
 CHECKERS, document it in the README's check catalog, and give it a
 seeded-violation and a clean fixture in selftest.py (the audit_selftest
 ctest fails on a checker whose seeded violation does not fail).

@@ -82,7 +82,7 @@ def _unordered_vars(code):
     return names
 
 
-def run(project, files):
+def run(files):
     report = Report()
     for rel, sf in sorted(files.items()):
         if not rel.startswith("src/"):

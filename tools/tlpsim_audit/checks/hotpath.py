@@ -95,7 +95,7 @@ def _scan(rel, sf, report):
             waivable=False))
 
 
-def run(project, files):
+def run(files):
     report = Report()
     for rel, sf in sorted(files.items()):
         _scan(rel, sf, report)

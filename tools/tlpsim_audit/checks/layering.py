@@ -113,7 +113,7 @@ def _check_includes(files, report):
                     f"deliberately in layering.ALLOWED"))
 
 
-def run(project, files):
+def run(files):
     _assert_acyclic()
     report = Report()
     _check_includes(files, report)

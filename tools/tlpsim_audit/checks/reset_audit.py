@@ -283,7 +283,7 @@ def _audit_class(cls, site, files, enums, report):
         f"src/ header this audit can see"))
 
 
-def run(project, files):
+def run(files):
     report = Report()
     enums = _enums(files)
     classes = _built_classes(files)

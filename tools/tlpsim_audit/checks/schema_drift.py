@@ -131,7 +131,7 @@ def _audit_tu(rel, sf, files, report):
                 f"internal)"))
 
 
-def run(project, files):
+def run(files):
     report = Report()
     for rel, sf in sorted(files.items()):
         if rel.endswith(".cc"):

@@ -3,9 +3,8 @@
 A linter that silently stops matching is worse than no linter — CI
 goes green while the property it guarded erodes. This module embeds,
 for each checker, one fixture carrying deliberate violations and one
-clean fixture, materializes them into a throwaway project (sources +
-compilation database), runs the real CLI driver in-process, and
-asserts:
+clean fixture, writes them into a throwaway source tree, runs the real
+CLI driver in-process on it, and asserts:
 
   * the violation run exits 1 under --werror,
   * the output holds exactly the expected findings, each rendered in
@@ -25,15 +24,12 @@ Exit status: 0 all fixtures behave, 1 any assertion failed.
 import argparse
 import contextlib
 import io
-import json
 import re
 import sys
 import tempfile
 from pathlib import Path
 
 from .__main__ import main as audit_main
-
-ANCHOR_CC = "int fixture_anchor() { return 0; }\n"
 
 DETERMINISM_BAD = """\
 #include <cstdlib>
@@ -390,9 +386,8 @@ GROWTH = ("container growth in hot region (waive with "
           "`// tlpsim:waive(hotpath) <reason>` once capacity is reserved "
           "or pooled)")
 
-# Each fixture: files are materialized under a throwaway root, every
-# .cc gets a compilation-database entry, the CLI driver runs with
-# --werror on `checks`. `expect` rows are (file, line-marker, rendered
+# Each fixture: files are written under a throwaway root, and the CLI
+# driver runs with --werror on `checks`. `expect` rows are (file, line-marker, rendered
 # finding): the marker's first occurrence resolves the line number, and
 # the output must hold exactly the lines "file:line: rendered finding",
 # no finding more.
@@ -461,7 +456,6 @@ FIXTURES = [
         "name": "layering-violation",
         "checks": "layering",
         "files": {
-            "src/common/anchor.cc": ANCHOR_CC,
             "src/common/util.hh": LAYERING_UTIL_BAD,
             "src/sim/runner.hh": LAYERING_RUNNER,
             "src/core/step.cc": LAYERING_HOT_CORE,
@@ -485,7 +479,6 @@ FIXTURES = [
         "name": "layering-clean",
         "checks": "layering",
         "files": {
-            "src/common/anchor.cc": ANCHOR_CC,
             "src/common/util.hh": LAYERING_UTIL_GOOD,
             "src/sim/runner.hh": LAYERING_RUNNER_GOOD,
         },
@@ -612,32 +605,18 @@ FINDING_RE = re.compile(r"^\S+:\d+: (?:error|waived): \[")
 
 
 def materialize(fixture, root):
-    """Write fixture files + a compilation database under @p root."""
-    root = Path(root)
+    """Write the fixture's files under @p root."""
     for rel, content in fixture["files"].items():
-        path = root / rel
+        path = Path(root) / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(content, encoding="utf-8")
-    entries = [
-        {
-            "directory": str(root),
-            "file": rel,
-            "command": f"c++ -std=c++20 -I src -c {rel}",
-        }
-        for rel in fixture["files"]
-        if rel.endswith(".cc")
-    ]
-    compdb = root / "compile_commands.json"
-    compdb.write_text(json.dumps(entries, indent=2), encoding="utf-8")
-    return compdb
 
 
 def run_fixture(fixture):
     """Run the CLI driver on @p fixture. Returns (exit, output)."""
     with tempfile.TemporaryDirectory(prefix="tlpsim_audit_") as tmp:
-        compdb = materialize(fixture, tmp)
-        argv = ["--compdb", str(compdb), "--root", tmp,
-                "--checks", fixture["checks"], "--werror"]
+        materialize(fixture, tmp)
+        argv = ["--root", tmp, "--checks", fixture["checks"], "--werror"]
         argv += fixture.get("args", [])
         out = io.StringIO()
         with contextlib.redirect_stdout(out), \
