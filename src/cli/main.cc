@@ -280,10 +280,11 @@ layeredConfig(const Options &o)
     }
     SystemConfig::overlay(lc.merged, lc.overrides);
     // Legacy scale knobs: lowest precedence after built-in defaults.
+    const SystemConfig defaults;
     if (!lc.merged.has("warmup_instrs"))
-        lc.merged.set("warmup_instrs", envWarmup(200'000));
+        lc.merged.set("warmup_instrs", envWarmup(defaults.warmup_instrs));
     if (!lc.merged.has("sim_instrs"))
-        lc.merged.set("sim_instrs", envInstrs(1'000'000));
+        lc.merged.set("sim_instrs", envInstrs(defaults.sim_instrs));
     return lc;
 }
 

@@ -77,13 +77,6 @@ log2i(std::uint64_t v)
     return r;
 }
 
-/** Combine two values into one hash (boost-style). */
-constexpr std::uint64_t
-hashCombine(std::uint64_t a, std::uint64_t b)
-{
-    return a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2));
-}
-
 } // namespace tlpsim
 
 #endif // TLPSIM_COMMON_BITOPS_HH

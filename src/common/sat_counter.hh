@@ -1,7 +1,7 @@
 /**
  * @file
- * Saturating signed counters — the storage element of every perceptron
- * weight table and confidence counter in tlpsim.
+ * Saturating signed counter — the storage element of every perceptron
+ * weight table in tlpsim.
  */
 
 #ifndef TLPSIM_COMMON_SAT_COUNTER_HH
@@ -69,39 +69,6 @@ class SatCounter
     }
 
     std::int16_t value_ = 0;
-};
-
-/**
- * Unsigned saturating counter (confidence / usefulness counters).
- */
-template <unsigned NBits>
-class SatCounterU
-{
-    static_assert(NBits >= 1 && NBits <= 15);
-
-  public:
-    static constexpr unsigned kMax = (1u << NBits) - 1;
-
-    constexpr unsigned value() const { return value_; }
-
-    void
-    increment()
-    {
-        if (value_ < kMax)
-            ++value_;
-    }
-
-    void
-    decrement()
-    {
-        if (value_ > 0)
-            --value_;
-    }
-
-    void reset() { value_ = 0; }
-
-  private:
-    std::uint16_t value_ = 0;
 };
 
 } // namespace tlpsim

@@ -1,7 +1,7 @@
 /**
  * @file
  * Trivial next-line prefetcher: the simplest coverage baseline, used by
- * tests and the quickstart example.
+ * tests.
  */
 
 #ifndef TLPSIM_PREFETCH_NEXT_LINE_HH

@@ -22,11 +22,11 @@ namespace tlpsim::experiment
 /** TLPSIM_INSTRS (measurement instructions per core). These three return
  *  @p fallback when the variable is unset and throw ConfigError, naming
  *  it, when it is not a non-negative integer. */
-InstrCount envInstrs(InstrCount fallback = 1'000'000);
+InstrCount envInstrs(InstrCount fallback);
 /** TLPSIM_WARMUP (warmup instructions per core). */
-InstrCount envWarmup(InstrCount fallback = 200'000);
+InstrCount envWarmup(InstrCount fallback);
 /** TLPSIM_MIXES (4-core mixes per suite). */
-int envMixes(int fallback = 4);
+int envMixes(int fallback);
 
 /**
  * Process-wide trace cache: benches sweep many workloads/schemes over the

@@ -35,20 +35,6 @@ configKey(const SystemConfig &cfg)
         + cfg.effectiveConfig().serialize();
 }
 
-std::string
-configSummary(const SystemConfig &cfg)
-{
-    char buf[160];
-    std::snprintf(buf, sizeof(buf), "%s|%s|%uc|%llu+%llu",
-                  cfg.scheme.name.c_str(),
-                  cfg.l1_prefetcher.empty() ? "none"
-                                            : cfg.l1_prefetcher.c_str(),
-                  cfg.num_cores,
-                  static_cast<unsigned long long>(cfg.warmup_instrs),
-                  static_cast<unsigned long long>(cfg.sim_instrs));
-    return buf;
-}
-
 Runner::Runner(unsigned jobs, StorePolicy policy)
     : jobs_(jobs == 0 ? 1 : jobs), policy_(std::move(policy))
 {
@@ -256,6 +242,21 @@ Runner::workerLoop()
 
 namespace
 {
+
+/** Short human-readable design-point label for progress logging. */
+std::string
+configSummary(const SystemConfig &cfg)
+{
+    char buf[160];
+    std::snprintf(buf, sizeof(buf), "%s|%s|%uc|%llu+%llu",
+                  cfg.scheme.name.c_str(),
+                  cfg.l1_prefetcher.empty() ? "none"
+                                            : cfg.l1_prefetcher.c_str(),
+                  cfg.num_cores,
+                  static_cast<unsigned long long>(cfg.warmup_instrs),
+                  static_cast<unsigned long long>(cfg.sim_instrs));
+    return buf;
+}
 
 void
 logSim(const char *what, const std::string &name, const SystemConfig &cfg)

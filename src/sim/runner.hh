@@ -86,9 +86,6 @@ std::string singlePointKey(const workloads::WorkloadSpec &w,
 /** The Runner key of a multi-core mix design point (cf. singlePointKey). */
 std::string mixPointKey(const workloads::Mix &mix, const SystemConfig &cfg);
 
-/** Short human-readable design-point label for progress logging. */
-std::string configSummary(const SystemConfig &cfg);
-
 /** Persistence and robustness policy for a Runner's executed jobs.
  *  (Namespace-scope rather than nested so it can brace-default in the
  *  Runner constructor signature.) */

@@ -212,17 +212,6 @@ TEST(SatCounter, WidthParameterized)
     EXPECT_EQ(SatCounter<8>::kMin, -128);
 }
 
-TEST(SatCounterU, Saturates)
-{
-    SatCounterU<2> c;
-    for (int i = 0; i < 10; ++i)
-        c.increment();
-    EXPECT_EQ(c.value(), 3u);
-    for (int i = 0; i < 10; ++i)
-        c.decrement();
-    EXPECT_EQ(c.value(), 0u);
-}
-
 TEST(Stats, CounterRegistration)
 {
     StatGroup g("test");
